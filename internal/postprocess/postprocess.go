@@ -40,15 +40,17 @@ type LabelSeq func(v uint32) []uint32
 // GraphView is the read-only graph access extraction needs. *graph.Graph
 // implements it, and so does the streaming service's copy-on-write
 // snapshot view — extraction never mutates the graph, so any frozen view
-// with the same deterministic iteration order works. ForEachEdge must
-// visit each undirected edge exactly once with the same order for equal
-// graphs (ascending u, adjacency order) for results to stay bit-identical
-// across views.
+// works. Edges are emitted once each in the order of graph.Graph.ForEachEdge
+// (ascending u over Vertices, Neighbors order, u < v), so equal graphs with
+// equal neighbour order give bit-identical results across views.
 type GraphView interface {
 	NumVertices() int
 	NumEdges() int
+	// Vertices returns the present vertex IDs in ascending order.
 	Vertices() []graph.VertexID
-	ForEachEdge(fn func(u, v graph.VertexID))
+	// Neighbors returns v's neighbour list (nil for absent vertices); the
+	// slice is read, never kept.
+	Neighbors(v graph.VertexID) []graph.VertexID
 }
 
 // WeightMetric selects how the label-distribution similarity of two
@@ -107,37 +109,29 @@ type Result struct {
 }
 
 // EncodeRuns sorts a copy of a label sequence and run-length encodes it as
-// interleaved (label, count) words — the histogram form every weight
-// computation (sequential and distributed) consumes, and the payload the
-// distributed driver ships.
+// interleaved (label, count) words — the payload the distributed driver
+// ships and CommonRuns merge-joins.
 func EncodeRuns(seq []uint32) []uint32 {
-	runs, _ := appendRuns(make([]uint32, 0, 8), nil, seq)
-	return runs
-}
-
-// appendRuns is EncodeRuns into caller-owned buffers: dst receives the
-// interleaved (label, count) runs, sortBuf is the sorting scratch. Both
-// (possibly grown) are returned for reuse.
-func appendRuns(dst, sortBuf, seq []uint32) (runs, buf []uint32) {
-	sortBuf = append(sortBuf[:0], seq...)
-	slices.Sort(sortBuf)
-	dst = dst[:0]
-	for i := 0; i < len(sortBuf); {
+	sorted := slices.Clone(seq)
+	slices.Sort(sorted)
+	runs := make([]uint32, 0, 8)
+	for i := 0; i < len(sorted); {
 		j := i
-		for j < len(sortBuf) && sortBuf[j] == sortBuf[i] {
+		for j < len(sorted) && sorted[j] == sorted[i] {
 			j++
 		}
-		dst = append(dst, sortBuf[i], uint32(j-i))
+		runs = append(runs, sorted[i], uint32(j-i))
 		i = j
 	}
-	return dst, sortBuf
+	return runs
 }
 
 // CommonRuns merge-joins two interleaved (label, count) run lists into the
 // integer numerator of the similarity weight: Σ_l min(f_a, f_b) for
-// Intersection, Σ_l f_a·f_b for SameLabelProbability. This single
-// implementation is what keeps the distributed weights bit-identical to
-// the sequential ones.
+// Intersection, Σ_l f_a·f_b for SameLabelProbability. It is the
+// distributed driver's wire-side kernel and the reference the sequential
+// dense-counter kernel (weights.go) is pinned to, which is what keeps the
+// distributed weights bit-identical to the sequential ones.
 func CommonRuns(a, b []uint32, metric WeightMetric) uint64 {
 	var common uint64
 	i, j := 0, 0
@@ -166,19 +160,9 @@ func CommonRuns(a, b []uint32, metric WeightMetric) uint64 {
 // EdgeWeights computes w_ij for every edge of g from the label sequences
 // using the given metric. Weights are in [0, 1]. Repeated callers should
 // hold an ExtractScratch and use its EdgeWeights method, which reuses the
-// per-vertex encoding table instead of rebuilding it.
+// kernel's tables instead of rebuilding them.
 func EdgeWeights(g GraphView, labels LabelSeq, metric WeightMetric) []WeightedEdge {
 	return new(ExtractScratch).EdgeWeights(g, labels, metric)
-}
-
-// sumRuns totals the counts of an interleaved run list (the sequence
-// length).
-func sumRuns(runs []uint32) uint64 {
-	var s uint64
-	for i := 1; i < len(runs); i += 2 {
-		s += uint64(runs[i])
-	}
-	return s
 }
 
 // Tau2Of computes Equation 2: the minimum over vertices (with at least one

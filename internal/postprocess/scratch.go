@@ -7,13 +7,12 @@ import (
 )
 
 // ExtractScratch owns the reusable buffers of the extraction pipeline: the
-// RLE label histograms, the per-vertex incident-weight maxima, the compact
-// vertex index, and the weighted-edge buffer — everything EdgeWeights,
-// Tau2Of and the Extract* assembly used to reallocate (as maps) on every
-// call. A caller that extracts repeatedly against an evolving graph (the
-// streaming service's per-epoch extraction) keeps one scratch and passes it
-// through the method forms; the package-level functions allocate a private
-// scratch per call, so their behavior is unchanged.
+// per-vertex label histograms and dense per-label counters of the weight
+// kernel (weights.go), the per-vertex incident-weight maxima, the compact
+// vertex index, and the weighted-edge buffer. A caller that extracts
+// repeatedly against an evolving graph (the streaming service's per-epoch
+// extraction) keeps one scratch and passes it through the method forms;
+// the package-level functions allocate a private scratch per call.
 //
 // The per-vertex tables are dense slices keyed by raw vertex ID and
 // validated by a generation stamp: a pass bumps the generation instead of
@@ -21,8 +20,8 @@ import (
 // monotonically with the ID space. Results never alias scratch memory
 // (covers copy their member lists), so a scratch may be pooled and reused
 // for a different graph immediately after a call returns — but the edge
-// slice returned by the EdgeWeights method is scratch-owned and only valid
-// until the next use.
+// slice returned by EdgeWeights and Reweigh is scratch-owned and only
+// valid until the next use.
 //
 // A scratch must not be used concurrently; pool one per extraction.
 type ExtractScratch struct {
@@ -31,26 +30,33 @@ type ExtractScratch struct {
 	idxGen []uint32
 	idx    []int32 // compact index: position in the pass's vertex list
 
-	encGen  []uint32
-	encoded [][]uint32 // RLE (label, count) runs per vertex, buffers reused
+	// Weight kernel (weights.go).
+	hists     []histRef  // per-vertex histogram location in chunks, stamped
+	chunks    [][]uint32 // interleaved (label, count) runs, first-seen order
+	chunkAt   int        // chunk being filled this pass
+	chunkUsed int        // words of it in use
+	build     []uint32   // per-label counter for histogram building; all zero between uses
+	loaded    []uint32   // per-label counts of the row being weighed; all zero between rows
+	dirtyGen  []uint32   // stamp: vertex is in the pass's dirty set
+	own       WeightTable
 
 	maxGen     []uint32
 	maxW       []float64 // max incident edge weight per vertex
 	maxTouched []uint32  // vertices with a valid maxW entry this pass
 
-	sortBuf []uint32       // EncodeRuns sorting scratch
-	edges   []WeightedEdge // EdgeWeights output buffer
-	commOf  []int32        // strong-community id per compact vertex
+	edges  []WeightedEdge // EdgeWeights/Reweigh output buffer
+	commOf []int32        // strong-community id per compact vertex
 }
 
-// bump starts a new pass over one of the stamped tables. On the
+// bump starts a new pass over the stamped tables. On the
 // once-in-4-billion uint32 wraparound every stamp table is hard-cleared so
 // a stale stamp can never alias a live one.
 func (sc *ExtractScratch) bump() uint32 {
 	sc.gen++
 	if sc.gen == 0 {
 		clear(sc.idxGen)
-		clear(sc.encGen)
+		clear(sc.hists)
+		clear(sc.dirtyGen)
 		clear(sc.maxGen)
 		sc.gen = 1
 	}
@@ -63,42 +69,6 @@ func growTo[T any](s []T, n int) []T {
 		s = append(s, make([]T, n-len(s))...)
 	}
 	return s
-}
-
-// EdgeWeights is the scratch-backed form of the package-level EdgeWeights:
-// identical weights, but the RLE histograms live in the scratch's reusable
-// per-vertex table and the returned slice is scratch-owned (valid until the
-// scratch's next use).
-func (sc *ExtractScratch) EdgeWeights(g GraphView, labels LabelSeq, metric WeightMetric) []WeightedEdge {
-	gen := sc.bump()
-	n := g.NumVertices() // lower bound; encode grows past it as needed
-	sc.encGen = growTo(sc.encGen, n)
-	sc.encoded = growTo(sc.encoded, n)
-	sc.edges = sc.edges[:0]
-	g.ForEachEdge(func(u, v uint32) {
-		ru, rv := sc.encode(u, labels, gen), sc.encode(v, labels, gen)
-		common := CommonRuns(ru, rv, metric)
-		lu := float64(sumRuns(ru))
-		w := float64(common) / lu
-		if metric == SameLabelProbability {
-			w = float64(common) / (lu * float64(sumRuns(rv)))
-		}
-		sc.edges = append(sc.edges, WeightedEdge{U: u, V: v, W: w})
-	})
-	return sc.edges
-}
-
-// encode RLE-encodes v's label sequence into its reusable table slot,
-// memoized per pass.
-func (sc *ExtractScratch) encode(v uint32, labels LabelSeq, gen uint32) []uint32 {
-	sc.encGen = growTo(sc.encGen, int(v)+1)
-	sc.encoded = growTo(sc.encoded, int(v)+1)
-	if sc.encGen[v] == gen {
-		return sc.encoded[v]
-	}
-	sc.encoded[v], sc.sortBuf = appendRuns(sc.encoded[v][:0], sc.sortBuf, labels(v))
-	sc.encGen[v] = gen
-	return sc.encoded[v]
 }
 
 // Tau2Of is the scratch-backed form of the package-level Tau2Of (Equation
@@ -165,16 +135,15 @@ func (sc *ExtractScratch) indexVertices(ids []uint32) func(uint32) int32 {
 // Extract is the scratch-backed form of the package-level Extract: the full
 // pipeline with every intermediate table reused from the scratch.
 func (sc *ExtractScratch) Extract(g GraphView, labels LabelSeq, cfg Config) (*Result, error) {
-	if g.NumVertices() == 0 {
-		return &Result{Cover: cover.New(0)}, nil
-	}
-	edges := sc.EdgeWeights(g, labels, cfg.Metric)
-	return sc.ExtractFromWeights(g, edges, cfg)
+	return sc.ExtractFromWeights(g, sc.EdgeWeights(g, labels, cfg.Metric), cfg)
 }
 
 // ExtractFromWeights is the scratch-backed form of the package-level
 // ExtractFromWeights.
 func (sc *ExtractScratch) ExtractFromWeights(g GraphView, edges []WeightedEdge, cfg Config) (*Result, error) {
+	if g.NumVertices() == 0 {
+		return &Result{Cover: cover.New(0)}, nil
+	}
 	tau2 := cfg.Tau2
 	if tau2 == 0 {
 		tau2 = sc.Tau2Of(edges)

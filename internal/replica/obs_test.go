@@ -106,6 +106,8 @@ func TestFollowerMetricsAcrossRebootstrap(t *testing.T) {
 		"rslpa_replica_writer_epoch", "rslpa_replica_follower_epoch",
 		"rslpa_replica_catchup_total",
 		"rslpa_stream_epoch", "rslpa_stream_update_seconds",
+		"rslpa_stream_extract_seconds", "rslpa_stream_extract_edges_total",
+		"rslpa_stream_extract_edges_reweighted_total",
 	} {
 		if fams[name] == nil {
 			t.Errorf("family %q missing from follower exposition", name)

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"sort"
 	"sync"
 	"testing"
@@ -225,5 +226,97 @@ func BenchmarkSnapshotPublish(b *testing.B) {
 				b.ReportMetric(float64(sn.NumShards()), "shards-total")
 			})
 		}
+	}
+}
+
+// BenchmarkExtractIncremental measures community extraction on the
+// repository benchmark's graph (LFR 20 000, T = 200): a cold full
+// extraction, and the extraction of the epoch after a 200-edit and after a
+// 2-edit batch with the weight table anchored at the epoch before. Update
+// and publish run untimed between iterations; batches alternate between a
+// set of edits and its inverse so the graph stays in steady state. The
+// reported edges/reweighted pair is the reuse ratio, and the CI smoke
+// emits the rows as BENCH_extract.json.
+func BenchmarkExtractIncremental(b *testing.B) {
+	gen, err := lfr.Generate(lfr.Default(20_000))
+	if err != nil {
+		b.Fatal(err)
+	}
+	st, err := core.Run(gen.Graph, core.Config{T: 200, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	det := seqDet{st}
+	report := func(b *testing.B, sn *Snapshot) {
+		b.ReportMetric(float64(sn.work.edges), "edges")
+		b.ReportMetric(float64(sn.work.reweighted), "reweighted")
+	}
+
+	b.Run("cold", func(b *testing.B) {
+		var sn *Snapshot
+		b.ReportAllocs()
+		for range b.N {
+			b.StopTimer()
+			sn = newSnapshot(0, det, postprocess.Config{}, core.UpdateStats{})
+			sn.ext = newExtraction(nil)
+			b.StartTimer()
+			if _, err := sn.Communities(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		report(b, sn)
+	})
+
+	for _, size := range []int{200, 2} {
+		b.Run(fmt.Sprintf("batch=%d", size), func(b *testing.B) {
+			// Half the batch inserts absent edges, half deletes present
+			// ones; the inverse batch undoes it.
+			rng := rand.New(rand.NewPCG(7, uint64(size)))
+			g := st.Graph()
+			n := uint32(g.NumVertices())
+			var apply, invert []graph.Edit
+			for len(apply) < size/2 {
+				u, v := rng.Uint32N(n), rng.Uint32N(n)
+				if u != v && !g.HasEdge(u, v) {
+					apply = append(apply, graph.Edit{Op: graph.Insert, U: u, V: v})
+					invert = append(invert, graph.Edit{Op: graph.Delete, U: u, V: v})
+				}
+			}
+			for len(apply) < size {
+				u := rng.Uint32N(n)
+				if nb := g.Neighbors(u); len(nb) > 0 {
+					v := nb[rng.IntN(len(nb))]
+					apply = append(apply, graph.Edit{Op: graph.Delete, U: u, V: v})
+					invert = append(invert, graph.Edit{Op: graph.Insert, U: u, V: v})
+				}
+			}
+
+			prev := newSnapshot(0, det, postprocess.Config{}, core.UpdateStats{})
+			prev.ext = newExtraction(nil)
+			if _, err := prev.Communities(); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := range b.N {
+				b.StopTimer()
+				batch := apply
+				if i%2 == 1 {
+					batch = invert
+				}
+				stats := st.Update(graph.Canonicalize(g, batch))
+				next := nextSnapshot(prev, det, stats.Dirty, stats)
+				b.StartTimer()
+				if _, err := next.Communities(); err != nil {
+					b.Fatal(err)
+				}
+				prev = next
+			}
+			b.StopTimer()
+			report(b, prev)
+			if b.N%2 == 1 { // leave the shared state as it was found
+				st.Update(graph.Canonicalize(g, invert))
+			}
+		})
 	}
 }

@@ -116,7 +116,7 @@ func (s *Service) initEvolution(sn0 *Snapshot) error {
 			e.events.With(string(k)) // pre-create every kind: scrapes show zeros, not absences
 		}
 		e.diffSeconds = r.Histogram("rslpa_evolution_diff_seconds",
-			"Evolution diff latency per published snapshot (extraction + matching; extraction is memoized for readers).",
+			"Evolution diff latency per published snapshot: the snapshot's extraction (rslpa_stream_extract_seconds, memoized for readers) plus matching.",
 			obs.LatencyBuckets)
 		r.GaugeFunc("rslpa_evolution_lineages",
 			"Community lineages alive at the current epoch.",
@@ -153,11 +153,8 @@ func (s *Service) advanceEvolution(next *Snapshot) time.Duration {
 	e.mu.Lock()
 	evs, err := e.tr.Advance(next.Epoch(), res.Cover.Communities())
 	if err == nil {
-		e.snaps = append(e.snaps, next)
 		// Window: the current snapshot plus up to depth historical ones.
-		if over := len(e.snaps) - (e.depth + 1); over > 0 {
-			e.snaps = e.snaps[over:]
-		}
+		e.snaps = trimFront(append(e.snaps, next), e.depth+1)
 	} else {
 		e.failed = fmt.Errorf("stream: evolution diff: %w", err)
 	}

@@ -318,9 +318,7 @@ func TestLineageStableAcrossCheckpointRestart(t *testing.T) {
 	if err := s2.Submit(graph.Edit{Op: graph.Insert, U: 0, V: 30}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s2.Drain(); err != nil {
-		t.Fatal(err)
-	}
+	drainVerified(t, s2)
 	s2.evo.mu.RLock()
 	evs, status := s2.evo.tr.Events(baseEpoch, 10)
 	s2.evo.mu.RUnlock()

@@ -1,0 +1,374 @@
+package stream
+
+import (
+	"reflect"
+	"runtime"
+	"sync"
+	"testing"
+	"time"
+
+	"rslpa/internal/core"
+	"rslpa/internal/dynamic"
+	"rslpa/internal/graph"
+	"rslpa/internal/lfr"
+	"rslpa/internal/postprocess"
+)
+
+// referenceResult extracts sn from scratch with the sorted-RLE reference
+// kernel (EncodeRuns + CommonRuns per edge, ForEachEdge order): what every
+// extraction produced before weights were carried between epochs.
+func referenceResult(sn *Snapshot) (*postprocess.Result, error) {
+	var edges []postprocess.WeightedEdge
+	metric := sn.pcfg.Metric
+	for _, u := range sn.Vertices() {
+		for _, v := range sn.Neighbors(u) {
+			if u >= v {
+				continue
+			}
+			lu, lv := sn.Labels(u), sn.Labels(v)
+			common := postprocess.CommonRuns(postprocess.EncodeRuns(lu), postprocess.EncodeRuns(lv), metric)
+			w := float64(common) / float64(len(lu))
+			if metric == postprocess.SameLabelProbability {
+				w = float64(common) / (float64(len(lu)) * float64(len(lv)))
+			}
+			edges = append(edges, postprocess.WeightedEdge{U: u, V: v, W: w})
+		}
+	}
+	return postprocess.ExtractFromWeights(sn, edges, sn.pcfg)
+}
+
+// requireFullExtract pins sn's (possibly incremental) extraction to the
+// reference: the Result must be deep-equal, field for field.
+func requireFullExtract(t testing.TB, sn *Snapshot) {
+	t.Helper()
+	got, gerr := sn.Communities()
+	want, werr := referenceResult(sn)
+	if (gerr == nil) != (werr == nil) {
+		t.Fatalf("epoch %d: extraction error %v, reference error %v", sn.Epoch(), gerr, werr)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("epoch %d: extraction differs from the full reference extraction\ngot  %+v\nwant %+v", sn.Epoch(), got, want)
+	}
+}
+
+// drainVerified is Drain for the suites' happy paths, with the epoch it
+// publishes held to the reference extraction.
+func drainVerified(t testing.TB, s *Service) {
+	t.Helper()
+	if err := s.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	requireFullExtract(t, s.snap.Load())
+}
+
+// lfrState runs detection on a small LFR graph: communities with real
+// structure, so extraction has strong components and weak attachments.
+func lfrState(t testing.TB, n int, T int) (*core.State, *graph.Graph) {
+	t.Helper()
+	p := lfr.Default(n)
+	p.AvgDeg, p.MaxDeg = 10, 30
+	gen, err := lfr.Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := core.Run(gen.Graph, core.Config{T: T, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st, gen.Graph
+}
+
+// Every epoch of a long edit stream extracts to the reference result,
+// whether extraction runs on the first reader (evolution off) or on the
+// maintenance goroutine (evolution on) — and the epochs after the first
+// re-weigh only part of the graph.
+func TestIncrementalExtractEveryEpoch(t *testing.T) {
+	for _, evoDepth := range []int{0, 4} {
+		st, g := lfrState(t, 600, 30)
+		batches, err := dynamic.Stream(g.Clone(), 20, 12, 41)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := New(seqDet{st}, Options{MaxBatch: 1 << 20, FlushInterval: time.Hour, EvolutionDepth: evoDepth})
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireFullExtract(t, s.snap.Load())
+		for _, batch := range batches {
+			if err := s.Submit(batch...); err != nil {
+				t.Fatal(err)
+			}
+			drainVerified(t, s)
+			sn := s.snap.Load()
+			if w := sn.work; w.reweighted == 0 || w.reweighted >= w.edges {
+				t.Fatalf("evolution depth %d, epoch %d: re-weighed %d of %d edges, want a proper part",
+					evoDepth, sn.Epoch(), w.reweighted, w.edges)
+			}
+		}
+		s.Close()
+	}
+}
+
+// The cases that are not "the epoch right after the anchor" rebuild in
+// full: a skipped epoch, a full-clone publish, and a snapshot older than
+// the anchor — which also leaves the shared table where it was.
+func TestExtractFallsBackToFull(t *testing.T) {
+	st, g := lfrState(t, 300, 20)
+	batches, err := dynamic.Stream(g.Clone(), 10, 5, 43)
+	if err != nil {
+		t.Fatal(err)
+	}
+	det := seqDet{st}
+	sn0 := newSnapshot(0, det, postprocess.Config{}, core.UpdateStats{})
+	sn0.ext = newExtraction(nil)
+	x := sn0.ext
+	snaps := []*Snapshot{sn0}
+	for _, b := range batches {
+		stats := st.Update(graph.Canonicalize(st.Graph(), b))
+		snaps = append(snaps, nextSnapshot(snaps[len(snaps)-1], det, stats.Dirty, stats))
+	}
+	full := func(sn *Snapshot) bool { return sn.work.reweighted == sn.work.edges }
+
+	requireFullExtract(t, snaps[0]) // first extraction
+	requireFullExtract(t, snaps[1]) // anchor + 1
+	requireFullExtract(t, snaps[3]) // skips epoch 2
+	requireFullExtract(t, snaps[2]) // older than the anchor
+	requireFullExtract(t, snaps[4]) // anchor + 1 again: the late read of 2 left the table at 3
+	if !full(snaps[0]) || full(snaps[1]) || !full(snaps[3]) || !full(snaps[2]) || full(snaps[4]) {
+		t.Fatalf("full/incremental pattern wrong: %v", []bool{full(snaps[0]), full(snaps[1]), full(snaps[2]), full(snaps[3]), full(snaps[4])})
+	}
+	if x.at != 4 {
+		t.Fatalf("table anchored at epoch %d, want 4", x.at)
+	}
+
+	// A full-clone publish (detector reported no dirty set) cannot be
+	// patched even though it is the next epoch.
+	stats := st.Update(graph.Canonicalize(st.Graph(), batches[len(batches)-1]))
+	fc := newSnapshot(5, det, postprocess.Config{}, stats)
+	fc.ext = x
+	requireFullExtract(t, fc)
+	if !full(fc) {
+		t.Fatalf("full-clone snapshot re-weighed %d of %d edges", fc.work.reweighted, fc.work.edges)
+	}
+}
+
+// Snapshots evicted from the evolution window, and batches evicted from
+// the journal, must become collectable: trimming the window by reslicing
+// its front kept them reachable through the backing array.
+func TestEvictedSnapshotIsCollected(t *testing.T) {
+	const depth = 2
+	s, _ := newTestService(t, Options{FlushInterval: time.Hour, EvolutionDepth: depth, JournalDepth: depth, CheckpointEvery: depth})
+	collected := make(chan uint64, 16)
+	track := func() {
+		sn := s.snap.Load()
+		epoch := sn.Epoch()
+		runtime.SetFinalizer(sn, func(*Snapshot) { collected <- epoch })
+	}
+	track() // epoch 0
+	for i := 0; i < 6; i++ {
+		if err := s.Submit(graph.Edit{Op: graph.Insert, U: 0, V: 10 + uint32(i)}); err != nil {
+			t.Fatal(err)
+		}
+		drainVerified(t, s)
+		track()
+	}
+	// Epochs 0..6 published, window holds 4..6: 0..3 must all go.
+	gone := map[uint64]bool{}
+	deadline := time.After(10 * time.Second)
+	for len(gone) < 4 {
+		runtime.GC()
+		select {
+		case e := <-collected:
+			gone[e] = true
+		case <-deadline:
+			t.Fatalf("evicted snapshots still reachable after GC: collected only %v", gone)
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	for e := range gone {
+		if e > 3 {
+			t.Fatalf("retained epoch %d was collected", e)
+		}
+	}
+
+	s.jmu.RLock()
+	journal := s.journal
+	s.jmu.RUnlock()
+	if len(journal) != depth {
+		t.Fatalf("journal holds %d batches, want %d", len(journal), depth)
+	}
+	for _, fb := range journal[len(journal):cap(journal)] {
+		if fb.edits != nil {
+			t.Fatal("journal backing array still references an evicted batch")
+		}
+	}
+}
+
+// gateDet blocks its first Update until released, holding the maintenance
+// goroutine inside a flush.
+type gateDet struct {
+	seqDet
+	entered chan struct{}
+	release chan struct{}
+	once    *sync.Once
+}
+
+func (d gateDet) Update(b []graph.Edit) (core.UpdateStats, error) {
+	d.once.Do(func() {
+		close(d.entered)
+		<-d.release
+	})
+	return d.seqDet.Update(b)
+}
+
+// A flush that outlasts FlushInterval returns to a pending tick and a
+// filled queue at once. The tick's flush must take the queue with it: one
+// batch carrying every queued edit, however select orders the two. (A
+// loop that flushes on the tick without draining passes a round only when
+// select happens to take the tick before any queued edit — half the time —
+// so the rounds make that outcome unmistakable.)
+func TestTickFlushDrainsQueue(t *testing.T) {
+	for round := 0; round < 8; round++ {
+		tickFlushRound(t)
+	}
+}
+
+func tickFlushRound(t *testing.T) {
+	st, err := core.Run(testGraph(), core.Config{T: 20, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	det := gateDet{seqDet: seqDet{st}, entered: make(chan struct{}), release: make(chan struct{}), once: new(sync.Once)}
+	const interval = 10 * time.Millisecond
+	s, err := New(det, Options{MaxBatch: 1 << 20, FlushInterval: interval})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	if err := s.Submit(graph.Edit{Op: graph.Insert, U: 0, V: 4}); err != nil {
+		t.Fatal(err)
+	}
+	<-det.entered // the loop is now stuck inside the first batch's flush
+	const queued = 64
+	for i := uint32(0); i < queued; i++ {
+		if err := s.Submit(graph.Edit{Op: graph.Insert, U: 1, V: 100 + i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	time.Sleep(3 * interval) // let a tick go pending behind the stuck flush
+	close(det.release)
+	// No Drain here: its control message would compete with the tick for
+	// the loop's select and hide the tick's own behaviour.
+	deadline := time.Now().Add(10 * time.Second)
+	for s.Stats().AppliedEdits < 1+queued {
+		if time.Now().After(deadline) {
+			t.Fatalf("queued edits never applied: %+v", s.Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if st := s.Stats(); st.Batches != 2 || st.LastBatchEdits != queued {
+		t.Fatalf("%d batches, last with %d edits; want 2 batches, the second with all %d queued edits",
+			st.Batches, st.LastBatchEdits, queued)
+	}
+	requireFullExtract(t, s.snap.Load())
+}
+
+// fuzzIDs are the vertex IDs FuzzIncrementalExtract edits: the seed
+// graph's, a few fresh ones, both sides of the first shard boundary, and
+// one a whole shard further out.
+var fuzzIDs = []uint32{0, 1, 2, 3, 4, 5, 6, 7, 8, 9,
+	graph.ShardSize - 2, graph.ShardSize - 1, graph.ShardSize, graph.ShardSize + 1, 2*graph.ShardSize + 3}
+
+// FuzzIncrementalExtract drives a detector through fuzz-chosen batches —
+// edge toggles, vertex creation and removal, ID-space growth across a
+// shard boundary — publishing a copy-on-write snapshot per epoch, and
+// extracts the snapshots in a fuzz-chosen order: some epochs skipped,
+// some retained snapshots read late and out of order, the rest at the end
+// from concurrent readers. Every extraction must equal the reference.
+func FuzzIncrementalExtract(f *testing.F) {
+	f.Add([]byte{0, 1, 5, 6, 0, 2, 7, 6, 4, 12, 6, 5, 3, 6})
+	f.Add([]byte{0, 10, 11, 0, 11, 12, 6, 0, 12, 13, 0, 14, 0, 7, 0, 6, 5, 12, 5, 14, 6})
+	f.Add([]byte{4, 14, 0, 14, 1, 0, 3, 9, 0, 9, 8, 7, 1, 5, 14, 6, 7, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 256 {
+			data = data[:256]
+		}
+		st, err := core.Run(testGraph(), core.Config{T: 8, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		det := seqDet{st}
+		cur := newSnapshot(0, det, postprocess.Config{}, core.UpdateStats{})
+		cur.ext = newExtraction(nil)
+		snaps := []*Snapshot{cur}
+		publish := func(stats core.UpdateStats) {
+			cur = nextSnapshot(cur, det, stats.Dirty, stats)
+			snaps = append(snaps, cur)
+		}
+		next := func() (byte, bool) {
+			if len(data) == 0 {
+				return 0, false
+			}
+			b := data[0]
+			data = data[1:]
+			return b, true
+		}
+		id := func() uint32 {
+			b, _ := next()
+			return fuzzIDs[int(b)%len(fuzzIDs)]
+		}
+		for {
+			op, ok := next()
+			if !ok {
+				break
+			}
+			switch op % 8 {
+			case 0, 1, 2, 3: // a batch of op%4+1 edge toggles
+				var batch []graph.Edit
+				for k := 0; k <= int(op%4); k++ {
+					u, v := id(), id()
+					if u == v {
+						continue
+					}
+					e := graph.Edit{Op: graph.Insert, U: u, V: v}
+					if st.Graph().HasEdge(u, v) {
+						e.Op = graph.Delete
+					}
+					batch = append(batch, e)
+				}
+				if canon := graph.Canonicalize(st.Graph(), batch); len(canon) > 0 {
+					publish(st.Update(canon))
+				}
+			case 4:
+				if stats, ok := st.AddVertex(id()); ok {
+					publish(stats)
+				}
+			case 5:
+				if stats, ok := st.RemoveVertex(id()); ok {
+					publish(stats)
+				}
+			case 6: // read the current epoch (epochs since the last read were skipped)
+				requireFullExtract(t, cur)
+			case 7: // read a retained snapshot late
+				b, _ := next()
+				requireFullExtract(t, snaps[int(b)%len(snaps)])
+			}
+		}
+		var wg sync.WaitGroup
+		for r := 0; r < 3; r++ {
+			wg.Add(1)
+			go func(r int) {
+				defer wg.Done()
+				for i := r; i < len(snaps); i += 2 { // overlapping strides: some snapshots get two readers
+					got, gerr := snaps[i].Communities()
+					want, werr := referenceResult(snaps[i])
+					if (gerr == nil) != (werr == nil) || !reflect.DeepEqual(got, want) {
+						t.Errorf("concurrent read of epoch %d differs from the reference (errors %v, %v)", snaps[i].Epoch(), gerr, werr)
+					}
+				}
+			}(r)
+		}
+		wg.Wait()
+	})
+}

@@ -41,9 +41,7 @@ func applyBatches(t *testing.T, s *Service, n int, base uint32) {
 		if err := s.Submit(graph.Edit{Op: graph.Insert, U: 0, V: v}); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Drain(); err != nil {
-			t.Fatal(err)
-		}
+		drainVerified(t, s)
 	}
 }
 
@@ -234,9 +232,7 @@ func TestCheckpointReadBackAlwaysLoadable(t *testing.T) {
 		if err := s.Submit(graph.Edit{Op: graph.Insert, U: 0, V: 10 + uint32(i)}); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Drain(); err != nil {
-			t.Fatal(err)
-		}
+		drainVerified(t, s)
 		f, err := os.Open(ckpt)
 		if err != nil {
 			t.Fatalf("drain %d: %v", i, err)
@@ -313,9 +309,7 @@ func TestReadyzReflectsCheckpointHealth(t *testing.T) {
 	if err := s.Submit(graph.Edit{Op: graph.Insert, U: 1, V: 5}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Drain(); err != nil {
-		t.Fatal(err)
-	}
+	drainVerified(t, s)
 	if code := getJSON(t, srv.URL+"/readyz", &h); code != http.StatusOK {
 		t.Fatalf("readyz after recovery: %d", code)
 	}

@@ -68,9 +68,7 @@ func TestMetricsExposition(t *testing.T) {
 	if err := s.Submit(graph.Edit{Op: graph.Insert, U: 0, V: 4}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Drain(); err != nil {
-		t.Fatal(err)
-	}
+	drainVerified(t, s)
 	first := scrapeFamilies(t, srv.URL)
 
 	// Golden family set: catches silent drops or renames of exported
@@ -104,9 +102,7 @@ func TestMetricsExposition(t *testing.T) {
 	if err := s.Submit(graph.Edit{Op: graph.Delete, U: 0, V: 4}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Drain(); err != nil {
-		t.Fatal(err)
-	}
+	drainVerified(t, s)
 	second := scrapeFamilies(t, srv.URL)
 	for name, f1 := range first {
 		if f1.Type == "gauge" {
@@ -161,9 +157,7 @@ func TestEngineStatsSurfaced(t *testing.T) {
 	if err := s.Submit(graph.Edit{Op: graph.Insert, U: 0, V: 4}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Drain(); err != nil {
-		t.Fatal(err)
-	}
+	drainVerified(t, s)
 	stats := s.Stats()
 	if stats.EngineRounds != det.rounds || stats.EngineMessages != det.messages || stats.EngineBytes != det.bytes {
 		t.Errorf("engine stats = (%d, %d, %d), want (%d, %d, %d)",
@@ -209,9 +203,7 @@ func TestBatchTraceSpansSumToTotal(t *testing.T) {
 		if err := s.Submit(graph.Edit{Op: op, U: 0, V: 4}); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Drain(); err != nil {
-			t.Fatal(err)
-		}
+		drainVerified(t, s)
 	}
 	if got := ring.Recorded(); got != 3 {
 		t.Fatalf("Recorded = %d, want 3", got)
@@ -257,6 +249,79 @@ func TestBatchTraceSpansSumToTotal(t *testing.T) {
 	if body.Recorded != 3 || len(body.Recent) != 3 || len(body.Slowest) != 3 {
 		t.Fatalf("debug/batches = %d recorded, %d recent, %d slowest; want 3 each",
 			body.Recorded, len(body.Recent), len(body.Slowest))
+	}
+}
+
+// Extraction is observed wherever it runs. With the evolution tier on it
+// runs on the maintenance goroutine: one histogram observation per epoch
+// (the baseline included), the edge counters carry the reuse ratio, and
+// each batch's evolution span has an extract child with the same counts.
+// With the tier off the first reader pays, once per snapshot.
+func TestExtractionInstrumented(t *testing.T) {
+	reg := obs.NewRegistry()
+	ring := obs.NewTraceRing(16, 4)
+	s, srv, _ := newFeedService(t, Options{FlushInterval: time.Hour, EvolutionDepth: 4, Obs: reg, Trace: ring})
+	edges := uint64(s.snap.Load().NumEdges()) // the baseline extraction weighed every edge
+	reweighted := edges
+	for i := 0; i < 3; i++ {
+		if err := s.Submit(graph.Edit{Op: graph.Insert, U: 0, V: 10 + uint32(i)}); err != nil {
+			t.Fatal(err)
+		}
+		drainVerified(t, s)
+		sn := s.snap.Load()
+		edges += uint64(sn.work.edges)
+		reweighted += uint64(sn.work.reweighted)
+		if sn.work.edges != sn.NumEdges() || sn.work.reweighted >= sn.work.edges {
+			t.Fatalf("epoch %d: extraction emitted %d of %d edges and re-weighed %d",
+				sn.Epoch(), sn.work.edges, sn.NumEdges(), sn.work.reweighted)
+		}
+	}
+	fams := scrapeFamilies(t, srv.URL)
+	if v := fams["rslpa_stream_extract_seconds"].Samples["rslpa_stream_extract_seconds_count"]; v != 4 {
+		t.Errorf("extract_seconds_count = %g, want 4 (baseline + 3 epochs)", v)
+	}
+	for name, want := range map[string]uint64{
+		"rslpa_stream_extract_edges_total":            edges,
+		"rslpa_stream_extract_edges_reweighted_total": reweighted,
+	} {
+		if v := fams[name].Samples[name]; v != float64(want) {
+			t.Errorf("%s = %g, want %d", name, v, want)
+		}
+	}
+	for _, bt := range ring.Recent() {
+		var extract *obs.Span
+		for _, sp := range bt.Spans {
+			if sp.Name == "evolution" && len(sp.Children) == 1 && sp.Children[0].Name == "extract" {
+				if sp.Children[0].Micros > sp.Micros {
+					t.Errorf("epoch %d: extract child %dµs exceeds its evolution span %dµs", bt.Epoch, sp.Children[0].Micros, sp.Micros)
+				}
+				extract = &sp.Children[0]
+			}
+		}
+		if extract == nil {
+			t.Fatalf("epoch %d: no extract span under evolution (have %v)", bt.Epoch, bt.Spans)
+		}
+		if e, r := extract.Attrs["edges"], extract.Attrs["edges_reweighted"]; e == 0 || r == 0 || r >= e {
+			t.Errorf("epoch %d: extract span attrs edges=%d edges_reweighted=%d", bt.Epoch, e, r)
+		}
+	}
+
+	// Tier off: nothing runs at publish; the first reader is observed once.
+	reg2 := obs.NewRegistry()
+	s2, srv2, _ := newFeedService(t, Options{FlushInterval: time.Hour, Obs: reg2})
+	count := func() float64 {
+		return scrapeFamilies(t, srv2.URL)["rslpa_stream_extract_seconds"].Samples["rslpa_stream_extract_seconds_count"]
+	}
+	if v := count(); v != 0 {
+		t.Fatalf("extract_seconds_count = %g before any read", v)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := s2.Snapshot().Communities(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if v := count(); v != 1 {
+		t.Fatalf("extract_seconds_count = %g after two reads of one snapshot, want 1", v)
 	}
 }
 
@@ -325,9 +390,7 @@ func TestServiceLogsLifecycle(t *testing.T) {
 	if err := s.Submit(graph.Edit{Op: graph.Insert, U: 0, V: 4}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Drain(); err != nil {
-		t.Fatal(err)
-	}
+	drainVerified(t, s)
 	s.Close()
 	logs := buf.String()
 	for _, want := range []string{"stream: service started", "stream: service closed"} {

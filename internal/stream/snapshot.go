@@ -2,9 +2,11 @@ package stream
 
 import (
 	"sync"
+	"time"
 
 	"rslpa/internal/core"
 	"rslpa/internal/graph"
+	"rslpa/internal/obs"
 	"rslpa/internal/postprocess"
 )
 
@@ -52,16 +54,89 @@ type Snapshot struct {
 	last   core.UpdateStats // the batch that produced this epoch
 
 	republished int // shards cloned to publish this snapshot
+	// allDirty marks a snapshot whose changes since the previous epoch are
+	// not described by last.Dirty (the bootstrap, and the full-clone
+	// fallback for a detector that reported no dirty set).
+	allDirty bool
 
-	// scratch, when non-nil, is the service-owned pool of extraction
-	// scratches shared by every epoch's memoized extraction, so the
-	// per-vertex tables are reused between epochs instead of reallocated.
-	scratch *sync.Pool
+	// ext is the service-owned extraction state every epoch's memoized
+	// extraction shares: the scratch pool and the weight table carried
+	// from one epoch's extraction to the next. Nil on a snapshot built
+	// outside a service.
+	ext *extraction
 
 	once   sync.Once
 	res    *postprocess.Result
 	member map[uint32][]int
 	err    error
+	work   extractWork
+}
+
+// extraction is what a service's snapshots share to extract communities:
+// a pool of scratches, so the per-vertex tables are reused between epochs
+// instead of reallocated, and one table of edge-weight numerators anchored
+// at the last epoch extracted. Extracting the epoch right after the anchor
+// re-weighs only the edges with an endpoint in that snapshot's dirty set;
+// every other case — the first extraction, a skipped epoch, a full-clone
+// publish — rebuilds the table through the same routine with every vertex
+// dirty. A snapshot older than the anchor (a retained historical epoch
+// read late) weighs its edges in its scratch's private table and leaves
+// the shared one alone. Nothing here runs at publish time: a service
+// nobody reads never builds the table.
+type extraction struct {
+	scratch sync.Pool // of *postprocess.ExtractScratch
+
+	mu      sync.Mutex // guards the table and its anchor
+	weights postprocess.WeightTable
+	at      uint64 // epoch the table holds; meaningless while the table is still its invalid zero value
+
+	seconds    *obs.Histogram
+	edges      *obs.Counter
+	reweighted *obs.Counter
+}
+
+// extractWork is what one snapshot's extraction cost: its wall time, the
+// edges it emitted and how many of them it had to re-weigh.
+type extractWork struct {
+	dur               time.Duration
+	edges, reweighted int
+}
+
+// newExtraction builds a service's extraction state, registering its
+// instruments in r (nil: uninstrumented).
+func newExtraction(r *obs.Registry) *extraction {
+	x := &extraction{
+		seconds: r.Histogram("rslpa_stream_extract_seconds",
+			"Community extraction latency per snapshot, wherever it ran (maintenance goroutine or first reader).",
+			obs.LatencyBuckets),
+		edges: r.Counter("rslpa_stream_extract_edges_total",
+			"Edges emitted into community extraction."),
+		reweighted: r.Counter("rslpa_stream_extract_edges_reweighted_total",
+			"Edges whose weight extraction recomputed; the rest were reused from the previous epoch's extraction."),
+	}
+	x.scratch.New = func() any { return new(postprocess.ExtractScratch) }
+	return x
+}
+
+// weigh produces sn's weighted edges in sc's buffer and reports how many
+// it re-weighed, going through the shared table unless sn is older than
+// its anchor.
+func (x *extraction) weigh(sn *Snapshot, sc *postprocess.ExtractScratch) ([]postprocess.WeightedEdge, int) {
+	x.mu.Lock()
+	if sn.epoch < x.at {
+		x.mu.Unlock()
+		edges := sc.EdgeWeights(sn, sn.Labels, sn.pcfg.Metric)
+		return edges, len(edges)
+	}
+	defer x.mu.Unlock()
+	// Before the first extraction at is 0 and this may let an epoch-1
+	// snapshot through as "next"; the table is then still invalid and
+	// weighs every edge regardless.
+	if sn.epoch != x.at+1 || sn.allDirty {
+		x.weights.Reset()
+	}
+	x.at = sn.epoch
+	return sc.Reweigh(&x.weights, sn, sn.Labels, sn.pcfg.Metric, sn.last.Dirty)
 }
 
 // newSnapshot freezes det's current state in full (every shard cloned):
@@ -80,6 +155,7 @@ func newSnapshot(epoch uint64, det Detector, pcfg postprocess.Config, last core.
 		sn.shards[i] = cloneShard(det, g, i)
 	}
 	sn.republished = len(sn.shards)
+	sn.allDirty = true
 	sn.total()
 	return sn
 }
@@ -93,11 +169,11 @@ func newSnapshot(epoch uint64, det Detector, pcfg postprocess.Config, last core.
 func nextSnapshot(prev *Snapshot, det Detector, dirty []uint32, last core.UpdateStats) *Snapshot {
 	g := det.Graph()
 	sn := &Snapshot{
-		epoch:   prev.epoch + 1,
-		shards:  make([]*snapShard, graph.NumShards(g.MaxVertexID())),
-		pcfg:    prev.pcfg,
-		last:    last,
-		scratch: prev.scratch,
+		epoch:  prev.epoch + 1,
+		shards: make([]*snapShard, graph.NumShards(g.MaxVertexID())),
+		pcfg:   prev.pcfg,
+		last:   last,
+		ext:    prev.ext,
 	}
 	copy(sn.shards, prev.shards) // ID space never shrinks
 	reclone := make(map[int]struct{})
@@ -200,25 +276,16 @@ func (sn *Snapshot) Vertices() []uint32 {
 	return vs
 }
 
-// ForEachEdge calls fn once per undirected edge with the exact iteration
-// order of graph.Graph.ForEachEdge on the underlying graph (ascending u,
-// frozen adjacency order, u < v filter) — the property that keeps
-// snapshot extraction bit-identical to extraction on a full graph clone
-// (postprocess.GraphView).
-func (sn *Snapshot) ForEachEdge(fn func(u, v uint32)) {
-	for _, sh := range sn.shards {
-		for off, ok := range sh.adj.Exists {
-			if !ok {
-				continue
-			}
-			u := sh.adj.Base + uint32(off)
-			for _, v := range sh.adj.Adj[off] {
-				if u < v {
-					fn(u, v)
-				}
-			}
-		}
+// Neighbors returns v's frozen neighbor list in the underlying graph's
+// adjacency order (nil for absent vertices) — with Vertices, the property
+// that keeps snapshot extraction bit-identical to extraction on a full
+// graph clone (postprocess.GraphView). The slice is owned by the
+// snapshot; do not mutate it.
+func (sn *Snapshot) Neighbors(v uint32) []uint32 {
+	if sh := sn.shardFor(v); sh != nil {
+		return sh.adj.Neighbors(v)
 	}
+	return nil
 }
 
 // Communities extracts the snapshot's overlapping communities. The first
@@ -245,16 +312,22 @@ func (sn *Snapshot) Membership(v uint32) ([]int, error) {
 
 func (sn *Snapshot) extract() {
 	sn.once.Do(func() {
-		if sn.scratch != nil {
-			// Results never alias scratch memory, so the scratch goes
-			// straight back to the pool for the next epoch (or a
-			// concurrent extraction of a different snapshot).
-			sc := sn.scratch.Get().(*postprocess.ExtractScratch)
-			sn.res, sn.err = sc.Extract(sn, sn.Labels, sn.pcfg)
-			sn.scratch.Put(sc)
-		} else {
-			sn.res, sn.err = postprocess.Extract(sn, sn.Labels, sn.pcfg)
+		x := sn.ext
+		if x == nil { // a snapshot built outside a service extracts on its own
+			x = newExtraction(nil)
 		}
+		t0 := time.Now()
+		// Results never alias scratch memory, so the scratch goes straight
+		// back to the pool for the next epoch (or a concurrent extraction
+		// of a different snapshot).
+		sc := x.scratch.Get().(*postprocess.ExtractScratch)
+		edges, reweighted := x.weigh(sn, sc)
+		sn.res, sn.err = sc.ExtractFromWeights(sn, edges, sn.pcfg)
+		sn.work = extractWork{dur: time.Since(t0), edges: len(edges), reweighted: reweighted}
+		x.scratch.Put(sc)
+		x.seconds.Observe(sn.work.dur.Seconds())
+		x.edges.Add(uint64(len(edges)))
+		x.reweighted.Add(uint64(reweighted))
 		if sn.err == nil {
 			sn.member = sn.res.Cover.Membership()
 		}

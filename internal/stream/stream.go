@@ -348,6 +348,20 @@ type Service struct {
 	evo *evoTier
 }
 
+// trimFront drops the oldest entries of a bounded window down to depth by
+// copying down and zeroing the vacated tail. Reslicing the front off
+// instead would keep every dropped entry reachable through the backing
+// array until append's next reallocation.
+func trimFront[T any](w []T, depth int) []T {
+	over := len(w) - depth
+	if over <= 0 {
+		return w
+	}
+	n := copy(w, w[over:])
+	clear(w[n:])
+	return w[:n]
+}
+
 // feedBatch is one journaled canonical batch: the edits that advanced the
 // detector from epoch-1 to epoch. The edits slice is the coalescer's own
 // freshly allocated flush output and is never mutated after journaling.
@@ -394,12 +408,11 @@ func New(det Detector, opts Options) (*Service, error) {
 		sweepCheckpointTemps(opts.CheckpointPath)
 	}
 	// Epoch BaseEpoch (default 0): the detector's state as handed in, so
-	// queries are served from the first instant. Snapshots share one pool
-	// of extraction scratches for the service's lifetime, so the per-vertex
-	// tables are reused between epochs instead of reallocated per
-	// extraction.
+	// queries are served from the first instant. Snapshots share one
+	// extraction state for the service's lifetime: the scratch pool and the
+	// edge-weight table each epoch's extraction hands to the next.
 	sn0 := newSnapshot(opts.BaseEpoch, det, opts.Extraction, core.UpdateStats{})
-	sn0.scratch = &sync.Pool{New: func() any { return new(postprocess.ExtractScratch) }}
+	sn0.ext = newExtraction(opts.Obs)
 	s.snap.Store(sn0)
 	s.st.Epoch = sn0.Epoch()
 	s.st.Vertices = sn0.NumVertices()
@@ -634,6 +647,11 @@ func (s *Service) loop() {
 				s.flush(co, &sinceCkpt)
 			}
 		case <-tick.C:
+			// A flush that outlasted FlushInterval leaves a tick pending
+			// beside whatever queued up meanwhile, and select picks between
+			// ready cases at random: take the queue first, so the tick's
+			// batch carries everything already submitted.
+			s.drainQueue(co, &sinceCkpt)
 			s.flush(co, &sinceCkpt)
 		case reply := <-s.ctl:
 			err := s.drainQueue(co, &sinceCkpt)
@@ -767,7 +785,7 @@ func (s *Service) flush(co *graph.Coalescer, sinceCkpt *int) error {
 	var next *Snapshot
 	if stats.Dirty == nil && stats.Inserted+stats.Deleted+stats.Repicked+stats.Changed > 0 {
 		next = newSnapshot(prev.Epoch()+1, s.det, s.opts.Extraction, stats)
-		next.scratch = prev.scratch
+		next.ext = prev.ext
 	} else {
 		next = nextSnapshot(prev, s.det, stats.Dirty, stats)
 	}
@@ -826,10 +844,7 @@ func (s *Service) flush(co *graph.Coalescer, sinceCkpt *int) error {
 		// The coalescer's Flush returned a fresh canonical slice, so the
 		// journal can retain it without copying. Trim to the horizon.
 		s.jmu.Lock()
-		s.journal = append(s.journal, feedBatch{epoch: next.Epoch(), edits: batch})
-		if over := len(s.journal) - s.opts.JournalDepth; over > 0 {
-			s.journal = s.journal[over:]
-		}
+		s.journal = trimFront(append(s.journal, feedBatch{epoch: next.Epoch(), edits: batch}), s.opts.JournalDepth)
 		s.journalEpoch = next.Epoch()
 		s.jmu.Unlock()
 		// Refresh the in-memory checkpoint every CheckpointEvery batches so
@@ -914,7 +929,14 @@ func (s *Service) batchTrace(next *Snapshot, flushStart time.Time, edits int,
 		spans = append(spans, obs.Span{Name: "checkpoint", Micros: ckpt.Microseconds()})
 	}
 	if evo > 0 {
-		spans = append(spans, obs.Span{Name: "evolution", Micros: evo.Microseconds()})
+		// The diff forced next's extraction (or waited out a reader that got
+		// there first, hence the clamp), so its work record is settled.
+		w := next.work
+		spans = append(spans, obs.Span{Name: "evolution", Micros: evo.Microseconds(),
+			Children: []obs.Span{{Name: "extract", Micros: min(w.dur, evo).Microseconds(), Attrs: map[string]int64{
+				"edges":            int64(w.edges),
+				"edges_reweighted": int64(w.reweighted),
+			}}}})
 	}
 	return obs.BatchTrace{
 		Epoch:       next.Epoch(),

@@ -58,9 +58,7 @@ func TestServiceDrainAppliesSubmittedEdits(t *testing.T) {
 	); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Drain(); err != nil {
-		t.Fatal(err)
-	}
+	drainVerified(t, s)
 	sn := s.Snapshot()
 	if sn.Epoch() != 1 {
 		t.Fatalf("epoch after drain = %d, want 1", sn.Epoch())
@@ -135,9 +133,7 @@ func TestServiceCoalescesAndMeters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Drain(); err != nil {
-		t.Fatal(err)
-	}
+	drainVerified(t, s)
 	st := s.Stats()
 	if st.SubmittedEdits != 6 || st.AppliedEdits != 1 || st.CoalescedEdits != 5 {
 		t.Fatalf("stats: submitted=%d applied=%d coalesced=%d", st.SubmittedEdits, st.AppliedEdits, st.CoalescedEdits)
@@ -159,9 +155,7 @@ func TestSnapshotIsImmutable(t *testing.T) {
 	if err := s.Submit(graph.Edit{Op: graph.Delete, U: 2, V: 3}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Drain(); err != nil {
-		t.Fatal(err)
-	}
+	drainVerified(t, s)
 	if s.Snapshot().Epoch() != 1 {
 		t.Fatal("batch not applied")
 	}
@@ -301,9 +295,7 @@ func TestServiceCheckpointsRelativePath(t *testing.T) {
 	if err := s.Submit(graph.Edit{Op: graph.Insert, U: 0, V: 5}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Drain(); err != nil {
-		t.Fatal(err)
-	}
+	drainVerified(t, s)
 	if _, err := os.Stat("service.ckpt"); err != nil {
 		t.Fatalf("checkpoint not written: %v", err)
 	}

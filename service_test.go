@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -218,12 +219,24 @@ func TestServiceSnapshotsMatchSerialEpochs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer serial.Close()
+	// The serial twin extracts every epoch in full; the service carries
+	// its edge weights from one epoch's extraction to the next. The two
+	// must agree on every field of the result.
+	extractSerial := func() *rslpa.Result {
+		res, err := serial.Communities()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
 	wantHash := map[uint64]uint64{0: labelHash(maxID, serial.Graph().NumEdges(), serial.Labels)}
+	wantRes := map[uint64]*rslpa.Result{0: extractSerial()}
 	for e, batch := range batches {
 		if _, err := serial.Update(batch); err != nil {
 			t.Fatal(err)
 		}
 		wantHash[uint64(e+1)] = labelHash(maxID, serial.Graph().NumEdges(), serial.Labels)
+		wantRes[uint64(e+1)] = extractSerial()
 	}
 
 	det, err := rslpa.Detect(g, cfg)
@@ -239,6 +252,7 @@ func TestServiceSnapshotsMatchSerialEpochs(t *testing.T) {
 	type obs struct {
 		epoch uint64
 		hash  uint64
+		res   *rslpa.Result
 	}
 	const readers = 4
 	observed := make([][]obs, readers)
@@ -256,7 +270,11 @@ func TestServiceSnapshotsMatchSerialEpochs(t *testing.T) {
 				sn := svc.Snapshot()
 				if e := sn.Epoch(); e != last {
 					last = e
-					seen = append(seen, obs{e, labelHash(maxID, sn.NumEdges(), sn.Labels)})
+					res, err := sn.Communities()
+					if err != nil {
+						t.Errorf("epoch %d: %v", e, err)
+					}
+					seen = append(seen, obs{e, labelHash(maxID, sn.NumEdges(), sn.Labels), res})
 				}
 			}
 			observe() // at least one observation even if the stream outruns us
@@ -301,6 +319,9 @@ func TestServiceSnapshotsMatchSerialEpochs(t *testing.T) {
 			}
 			if o.hash != want {
 				t.Fatalf("reader %d: snapshot at epoch %d does not match the serial detector at that epoch (torn or partial state)", r, o.epoch)
+			}
+			if !reflect.DeepEqual(o.res, wantRes[o.epoch]) {
+				t.Fatalf("reader %d: communities at epoch %d differ from the serial detector's full extraction", r, o.epoch)
 			}
 		}
 	}
@@ -656,6 +677,7 @@ func TestFollowerMatchesWriterEpochsAcrossRestart(t *testing.T) {
 	type obs struct {
 		epoch uint64
 		hash  uint64
+		res   rslpa.Result
 	}
 	var seen []obs
 	stop := make(chan struct{})
@@ -668,7 +690,14 @@ func TestFollowerMatchesWriterEpochsAcrossRestart(t *testing.T) {
 			sn := f.Snapshot()
 			if e := sn.Epoch(); e != last {
 				last = e
-				seen = append(seen, obs{e, labelHash(maxID, sn.NumEdges(), sn.Labels)})
+				o := obs{epoch: e, hash: labelHash(maxID, sn.NumEdges(), sn.Labels)}
+				if res, err := sn.Communities(); err != nil {
+					t.Errorf("follower epoch %d: %v", e, err)
+				} else {
+					o.res = rslpa.Result{Communities: res.Cover, Tau1: res.Tau1, Tau2: res.Tau2,
+						Strong: res.Strong, Weak: res.Weak, Entropy: res.Entropy}
+				}
+				seen = append(seen, o)
 			}
 			select {
 			case <-stop:
@@ -783,7 +812,17 @@ func TestFollowerMatchesWriterEpochsAcrossRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer twin.Close()
+	// The twin also extracts every epoch in full — the reference for the
+	// follower's epoch-to-epoch weight reuse, re-bootstraps included.
+	extractTwin := func() rslpa.Result {
+		res, err := twin.Communities()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return *res
+	}
 	wantHash := map[uint64]uint64{0: labelHash(maxID, twin.Graph().NumEdges(), twin.Labels)}
+	wantRes := map[uint64]rslpa.Result{0: extractTwin()}
 	for _, entry := range append(feed1, feed2...) {
 		batch, err := entry.GraphEdits()
 		if err != nil {
@@ -793,6 +832,7 @@ func TestFollowerMatchesWriterEpochsAcrossRestart(t *testing.T) {
 			t.Fatal(err)
 		}
 		wantHash[entry.Epoch] = labelHash(maxID, twin.Graph().NumEdges(), twin.Labels)
+		wantRes[entry.Epoch] = extractTwin()
 	}
 
 	if len(seen) == 0 {
@@ -805,6 +845,9 @@ func TestFollowerMatchesWriterEpochsAcrossRestart(t *testing.T) {
 		}
 		if o.hash != want {
 			t.Fatalf("follower snapshot at epoch %d does not hash-match the writer at that epoch", o.epoch)
+		}
+		if !reflect.DeepEqual(o.res, wantRes[o.epoch]) {
+			t.Fatalf("follower communities at epoch %d differ from a full extraction of the writer's state", o.epoch)
 		}
 	}
 	sn := f.Snapshot()
