@@ -186,8 +186,7 @@ func BenchmarkFig8StaticRuntimeRSLPA(b *testing.B) {
 // BenchmarkPostprocessWireBytes measures the distributed post-processing on
 // the fig8-scale LFR fixture and reports its wire cost next to the cost of
 // the naive protocol it replaced (one fixed 17-byte message per label per
-// boundary pair plus an all-to-master weight funnel). The CI bench-smoke
-// job archives these counters as BENCH_postprocess.json.
+// boundary pair plus an all-to-master weight funnel).
 func BenchmarkPostprocessWireBytes(b *testing.B) {
 	fixtures(b)
 	const workers = 4
@@ -481,8 +480,7 @@ func BenchmarkUpdate(b *testing.B) {
 // P=4 on the web fixture: save wall time (each worker encodes its shard
 // concurrently, the master concatenates), checkpoint size, load wall time
 // (records resharded through the loading engine's owner map), and the wire
-// bytes the snapshot gather moved. The CI bench-smoke job archives these
-// counters as BENCH_checkpoint.json.
+// bytes the snapshot gather moved.
 func BenchmarkCheckpointSaveLoad(b *testing.B) {
 	fixtures(b)
 	const workers = 4

@@ -31,8 +31,7 @@ func synthEpochs(n int) (a, b [][]uint32) {
 }
 
 // BenchmarkEvolutionDiff measures one epoch diff (matching +
-// classification + journal upkeep) against community count. CI converts
-// its output to BENCH_evolution.json via scripts/bench_json.sh.
+// classification + journal upkeep) against community count.
 func BenchmarkEvolutionDiff(bm *testing.B) {
 	for _, n := range []int{16, 128, 1024} {
 		bm.Run(fmt.Sprintf("communities=%d", n), func(bm *testing.B) {

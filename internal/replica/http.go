@@ -1,8 +1,9 @@
 package replica
 
 import (
-	"encoding/json"
 	"net/http"
+
+	"rslpa/internal/stream"
 )
 
 // HTTP front end of a follower: the read half of the writer's API plus
@@ -54,20 +55,14 @@ func (f *Follower) delegate(w http.ResponseWriter, r *http.Request) {
 	f.cur.Load().h.ServeHTTP(w, r)
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
 func (f *Follower) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, f.Stats())
+	stream.WriteJSON(w, http.StatusOK, f.Stats())
 }
 
 func (f *Follower) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	select {
 	case <-f.quit:
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"error": ErrClosed.Error()})
+		stream.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"error": ErrClosed.Error()})
 		return
 	default:
 	}
@@ -82,5 +77,5 @@ func (f *Follower) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		// tail loop must be visible to operators.
 		body["replication_error"] = st.ReplicationError
 	}
-	writeJSON(w, http.StatusOK, body)
+	stream.WriteJSON(w, http.StatusOK, body)
 }

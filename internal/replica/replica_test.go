@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"bytes"
 	"encoding/json"
 	"hash/fnv"
 	"io"
@@ -174,6 +175,12 @@ func TestFollowerHTTPReadTier(t *testing.T) {
 	if comm.Vertices == 0 || len(comm.Communities) == 0 {
 		t.Fatalf("empty communities response: %+v", comm)
 	}
+	// Nothing was written, so both tiers are at the same epoch: the bodies
+	// are the same bytes.
+	wb, _ := fetch(t, wsrv.URL+"/communities")
+	if fb, _ := fetch(t, fsrv.URL+"/communities"); !bytes.Equal(wb, fb) {
+		t.Fatalf("writer and follower /communities differ:\nwriter:   %.200s\nfollower: %.200s", wb, fb)
+	}
 
 	var vert map[string]any
 	if code := getJSON(t, fsrv.URL+"/vertex/3", &vert); code != http.StatusOK {
@@ -220,6 +227,16 @@ func TestFollowerHTTPReadTier(t *testing.T) {
 // getJSON fetches a URL and decodes the JSON body.
 func getJSON(t *testing.T, url string, out any) int {
 	t.Helper()
+	body, code := fetch(t, url)
+	if err := json.Unmarshal(body, out); err != nil {
+		t.Fatalf("decode %s: %v", url, err)
+	}
+	return code
+}
+
+// fetch GETs a URL and returns the raw body and status.
+func fetch(t *testing.T, url string) ([]byte, int) {
+	t.Helper()
 	resp, err := http.Get(url)
 	if err != nil {
 		t.Fatal(err)
@@ -229,10 +246,7 @@ func getJSON(t *testing.T, url string, out any) int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := json.Unmarshal(body, out); err != nil {
-		t.Fatalf("decode %s: %v", url, err)
-	}
-	return resp.StatusCode
+	return body, resp.StatusCode
 }
 
 // TestFollowerRebootstrapsBehindHorizon pins the recovery path: a

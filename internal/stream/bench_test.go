@@ -20,8 +20,7 @@ import (
 // BenchmarkStreamServe measures the serving workload end to end: four
 // producers push an edit stream through the bounded queue while four
 // readers issue snapshot queries, and the run reports ingest throughput
-// plus the p50/p99 query latency observed *during* sustained updates —
-// the CI smoke emits these as BENCH_stream.json.
+// plus the p50/p99 query latency observed *during* sustained updates.
 func BenchmarkStreamServe(b *testing.B) {
 	const (
 		producers = 4

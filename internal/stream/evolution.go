@@ -18,8 +18,9 @@ package stream
 //
 // The diff runs synchronously on the maintenance goroutine right after
 // the snapshot swap: epochs stay contiguous (the tracker refuses gaps),
-// the journal never reorders, and because extraction is memoized on the
-// snapshot the first reader reuses the work. Determinism end to end —
+// the journal never reorders, and the snapshot it matches was already
+// extracted before the swap, so the diff and every reader share that one
+// memoized extraction. Determinism end to end —
 // canonical batches, bit-identical updates, order-stable extraction,
 // exact-rational matching — is what lets a follower replaying the feed
 // emit a byte-identical /events stream without any event replication.
@@ -101,7 +102,7 @@ func (s *Service) initEvolution(sn0 *Snapshot) error {
 		}
 	}
 	if !restored {
-		res, err := sn0.Communities()
+		res, err := sn0.communities()
 		if err != nil {
 			return fmt.Errorf("stream: evolution baseline extraction: %w", err)
 		}
@@ -116,7 +117,7 @@ func (s *Service) initEvolution(sn0 *Snapshot) error {
 			e.events.With(string(k)) // pre-create every kind: scrapes show zeros, not absences
 		}
 		e.diffSeconds = r.Histogram("rslpa_evolution_diff_seconds",
-			"Evolution diff latency per published snapshot: the snapshot's extraction (rslpa_stream_extract_seconds, memoized for readers) plus matching.",
+			"Evolution diff latency per published snapshot: matching its communities against the previous epoch's (its extraction ran before the swap, timed by rslpa_stream_extract_seconds).",
 			obs.LatencyBuckets)
 		r.GaugeFunc("rslpa_evolution_lineages",
 			"Community lineages alive at the current epoch.",
@@ -144,7 +145,7 @@ func (s *Service) advanceEvolution(next *Snapshot) time.Duration {
 		return 0
 	}
 	t0 := time.Now()
-	res, err := next.Communities()
+	res, err := next.communities()
 	if err != nil {
 		e.fail(fmt.Errorf("stream: evolution extraction: %w", err))
 		s.log.Error("stream: evolution diff failed; evolution tier latched", "error", err)
@@ -240,14 +241,14 @@ func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 	evs, status := e.tr.Events(from, maxEpochs)
 	e.mu.RUnlock()
 	if status == evolution.FeedGone {
-		writeJSON(w, http.StatusGone, map[string]any{
+		WriteJSON(w, http.StatusGone, map[string]any{
 			"error":        fmt.Sprintf("cursor %d is behind the retained event horizon", from),
 			"oldest_epoch": oldest,
 			"writer_epoch": newest,
 		})
 		return
 	}
-	writeJSON(w, http.StatusOK, eventsResponse{WriterEpoch: newest, OldestEpoch: oldest, Events: evs})
+	WriteJSON(w, http.StatusOK, eventsResponse{WriterEpoch: newest, OldestEpoch: oldest, Events: evs})
 }
 
 // handleCommunityHistory serves one lineage's retained life-cycle.
@@ -270,7 +271,7 @@ func (s *Service) handleCommunityHistory(w http.ResponseWriter, r *http.Request)
 		writeError(w, http.StatusNotFound, fmt.Errorf("lineage %d unknown (never seen, or dead behind the horizon)", id))
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"epoch":   epoch,
 		"lineage": h.Lineage,
 		"born":    h.Born,

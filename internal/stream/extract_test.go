@@ -1,6 +1,11 @@
 package stream
 
 import (
+	"bytes"
+	"errors"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"runtime"
 	"sync"
@@ -11,6 +16,7 @@ import (
 	"rslpa/internal/dynamic"
 	"rslpa/internal/graph"
 	"rslpa/internal/lfr"
+	"rslpa/internal/obs"
 	"rslpa/internal/postprocess"
 )
 
@@ -78,10 +84,33 @@ func lfrState(t testing.TB, n int, T int) (*core.State, *graph.Graph) {
 	return st, gen.Graph
 }
 
-// Every epoch of a long edit stream extracts to the reference result,
-// whether extraction runs on the first reader (evolution off) or on the
-// maintenance goroutine (evolution on) — and the epochs after the first
-// re-weigh only part of the graph.
+// requireRenderedBody holds the memoized GET path body of sn to a fresh
+// encode of its document, on the request that fills the memo and on one
+// served from it.
+func requireRenderedBody(t testing.TB, h http.Handler, path string, sn *Snapshot) {
+	t.Helper()
+	res, err := sn.Communities()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := httptest.NewRecorder()
+	WriteJSON(fresh, http.StatusOK, communitiesDoc(sn, res))
+	for i := 0; i < 2; i++ {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+		if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), fresh.Body.Bytes()) {
+			t.Fatalf("GET %s (request %d) = %d, body differs from a fresh encode of epoch %d:\ngot  %.200s\nwant %.200s",
+				path, i+1, rec.Code, sn.Epoch(), rec.Body.Bytes(), fresh.Body.Bytes())
+		}
+	}
+}
+
+// Every epoch of a long edit stream extracts to the reference result —
+// on the maintenance goroutine (for the evolution diff, or because
+// drainVerified kept reading) or lazily by drainVerified itself — and the
+// epochs after the first re-weigh only part of the graph. Each epoch's /communities body, and
+// with the tier on each retained ?epoch=E body, is byte-equal to a fresh
+// encode.
 func TestIncrementalExtractEveryEpoch(t *testing.T) {
 	for _, evoDepth := range []int{0, 4} {
 		st, g := lfrState(t, 600, 30)
@@ -93,6 +122,7 @@ func TestIncrementalExtractEveryEpoch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		h := s.Handler()
 		requireFullExtract(t, s.snap.Load())
 		for _, batch := range batches {
 			if err := s.Submit(batch...); err != nil {
@@ -104,8 +134,187 @@ func TestIncrementalExtractEveryEpoch(t *testing.T) {
 				t.Fatalf("evolution depth %d, epoch %d: re-weighed %d of %d edges, want a proper part",
 					evoDepth, sn.Epoch(), w.reweighted, w.edges)
 			}
+			requireRenderedBody(t, h, "/communities", sn)
+			if s.evo == nil {
+				continue
+			}
+			for e := uint64(0); e <= sn.Epoch(); e++ {
+				if hist, _, _ := s.evo.snapshotAt(e); hist != nil {
+					requireRenderedBody(t, h, fmt.Sprintf("/communities?epoch=%d", e), hist)
+				}
+			}
 		}
 		s.Close()
+	}
+}
+
+// Readers that keep pace with the publishes get each epoch extracted
+// inside its flush, before the swap: once two epochs in a row were read,
+// the extraction count rises inside Drain, not on the next read. Every
+// publish consumes the demand, so a reader that skips an epoch — one that
+// polls less often than the service publishes — finds the epochs after it
+// published lazily and leaves no extraction unused, until it reads two in
+// a row again. Lazy or not, the epoch right after the anchor re-weighs
+// only what it touched. And a loop that did not idle for as long as the
+// last extraction took since its previous flush leaves the extraction to
+// the readers.
+func TestReadDemandExtractsBeforeSwap(t *testing.T) {
+	st, g := lfrState(t, 300, 20)
+	batches, err := dynamic.Stream(g.Clone(), 5, 8, 47)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(seqDet{st}, Options{MaxBatch: 1 << 20, FlushInterval: time.Hour, Obs: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	h := s.Handler()
+	x := s.snap.Load().ext
+	// publish applies batch i, after letting the loop idle for pause.
+	publish := func(i int, pause time.Duration) *Snapshot {
+		t.Helper()
+		time.Sleep(pause)
+		if err := s.Submit(batches[i]...); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Drain(); err != nil {
+			t.Fatal(err)
+		}
+		return s.snap.Load()
+	}
+	// rest is a pause the last extraction fits in: a service between
+	// batches, not one flooded with them.
+	rest := func() time.Duration { return time.Duration(x.last.Load()) + time.Millisecond }
+	read := func(path string) {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET %s = %d", path, rec.Code)
+		}
+	}
+	want := func(n uint64, after string) {
+		t.Helper()
+		if got := x.seconds.Count(); got != n {
+			t.Fatalf("%s: %d extractions, want %d", after, got, n)
+		}
+	}
+	requireIncremental := func(sn *Snapshot) {
+		t.Helper()
+		if w := sn.work; w.reweighted >= w.edges {
+			t.Fatalf("epoch %d re-weighed %d of %d edges, want a proper part", sn.Epoch(), w.reweighted, w.edges)
+		}
+	}
+
+	want(0, "before any read")
+	read("/communities") // epoch 0, extracted by this reader
+	publish(0, rest())
+	want(1, "epoch 1 published after one epoch was read")
+	read("/vertex/0") // epoch 1, lazily: Membership is a read too
+	want(2, "the lazy read of epoch 1")
+	requireIncremental(s.snap.Load())
+	sn := publish(1, rest())
+	want(3, "epoch 2 published after epochs 0 and 1 were read")
+	requireIncremental(sn)
+	read("/communities") // epoch 2, already extracted
+	publish(2, rest())
+	want(4, "epoch 3 published after epochs 1 and 2 were read")
+
+	sn = publish(3, rest()) // nobody read epoch 3
+	want(4, "epoch 4 published with no read since the last publish")
+	requireFullExtract(t, sn) // epoch 4, lazily
+	want(5, "the lazy read of epoch 4")
+	requireIncremental(sn)
+	publish(4, rest())
+	want(5, "epoch 5 published after a reader skipped epoch 3")
+	read("/communities") // epoch 5, lazily
+	publish(5, rest())
+	want(7, "epoch 6 published after epochs 4 and 5 were read")
+
+	// The write-path gate: pretend the last extraction took 200 ms. A
+	// publish after an idle stretch longer than that extracts inside
+	// Drain; one right after the previous flush leaves epoch 8 to its
+	// reader.
+	read("/communities") // epoch 6, already extracted
+	x.last.Store(int64(200 * time.Millisecond))
+	publish(6, 250*time.Millisecond)
+	want(8, "epoch 7 published after an idle stretch longer than the last extraction")
+	read("/communities") // epoch 7, already extracted
+	x.last.Store(int64(200 * time.Millisecond))
+	publish(7, 0)
+	want(8, "epoch 8 published without idling for the last extraction's duration")
+	read("/communities") // epoch 8, lazily
+	want(9, "the lazy read of epoch 8")
+}
+
+// The decision itself, step by step: readers must have read the last two
+// epochs and the loop must have idled for the last extraction's duration;
+// a live evolution tier extracts regardless, a latched one no longer does.
+func TestExtractBeforeSwapPolicy(t *testing.T) {
+	s := &Service{}
+	x := newExtraction(nil)
+	x.last.Store(int64(50 * time.Millisecond))
+	for i, step := range []struct {
+		read bool
+		idle time.Duration
+		evo  string // "", "live" or "latched"
+		want bool
+	}{
+		{read: true, idle: time.Second, want: false},                 // one epoch read so far
+		{read: true, idle: time.Second, want: true},                  // two in a row
+		{read: true, idle: 10 * time.Millisecond, want: false},       // batches arriving faster than an extraction
+		{read: true, idle: 50 * time.Millisecond, want: true},        // the extraction just fits
+		{read: false, idle: time.Second, want: false},                // nobody read the head
+		{read: true, idle: time.Second, want: false},                 // the epoch before went unread
+		{read: true, idle: time.Second, want: true},                  // pace regained
+		{read: false, idle: 0, evo: "live", want: true},              // the diff needs the cover
+		{read: true, idle: time.Second, evo: "latched", want: false}, // a latched tier is no tier
+		{read: true, idle: time.Second, evo: "latched", want: true},
+		{read: false, idle: time.Second, evo: "latched", want: false},
+	} {
+		switch step.evo {
+		case "":
+			s.evo = nil
+		case "live":
+			s.evo = &evoTier{}
+		case "latched":
+			s.evo = &evoTier{failed: errors.New("diff failed")}
+		}
+		if step.read {
+			x.noteRead()
+		}
+		if got := s.extractBeforeSwap(x, step.idle); got != step.want {
+			t.Errorf("step %d %+v: extract before swap = %v", i, step, got)
+		}
+	}
+}
+
+// A service nobody reads never extracts: the write-only floods' invariant.
+func TestWriteOnlyServiceNeverExtracts(t *testing.T) {
+	st, g := lfrState(t, 300, 20)
+	batches, err := dynamic.Stream(g.Clone(), 4, 20, 53)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(seqDet{st}, Options{MaxBatch: 1 << 20, FlushInterval: time.Hour, Obs: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for _, b := range batches {
+		if err := s.Submit(b...); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Drain(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := s.Stats().Batches; got != uint64(len(batches)) {
+		t.Fatalf("%d batches applied, want %d", got, len(batches))
+	}
+	if n := s.snap.Load().ext.seconds.Count(); n != 0 {
+		t.Fatalf("rslpa_stream_extract_seconds_count = %d after %d unread batches, want 0", n, len(batches))
 	}
 }
 

@@ -147,9 +147,9 @@ func (s *Service) handleFeed(w http.ResponseWriter, r *http.Request) {
 		// The follower's epoch fell behind the journal horizon; it must
 		// re-bootstrap from GET /checkpoint. 410 carries the same envelope
 		// so the client learns how far behind it was.
-		writeJSON(w, http.StatusGone, resp)
+		WriteJSON(w, http.StatusGone, resp)
 	default:
-		writeJSON(w, http.StatusOK, resp)
+		WriteJSON(w, http.StatusOK, resp)
 	}
 }
 

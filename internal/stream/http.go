@@ -12,6 +12,7 @@ import (
 
 	"rslpa/internal/graph"
 	"rslpa/internal/obs"
+	"rslpa/internal/postprocess"
 )
 
 // maxEditBody bounds a single POST /edits body (16 MiB ≈ one million
@@ -118,14 +119,16 @@ func (s *Service) observed(h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON writes v as a JSON response body with the given status: the
+// one encoder behind every JSON route of the writer and of its followers.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(v)
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
+	WriteJSON(w, status, map[string]string{"error": err.Error()})
 }
 
 func (s *Service) handleEdits(w http.ResponseWriter, r *http.Request) {
@@ -174,7 +177,7 @@ func (s *Service) handleEdits(w http.ResponseWriter, r *http.Request) {
 			// service latches; see the comment block above), so the
 			// error body must still carry the accepted count next to
 			// the failure detail.
-			writeJSON(w, http.StatusServiceUnavailable, map[string]any{
+			WriteJSON(w, http.StatusServiceUnavailable, map[string]any{
 				"error":    err.Error(),
 				"accepted": len(edits),
 			})
@@ -182,7 +185,7 @@ func (s *Service) handleEdits(w http.ResponseWriter, r *http.Request) {
 		}
 		resp["epoch"] = s.snap.Load().Epoch()
 	}
-	writeJSON(w, http.StatusAccepted, resp)
+	WriteJSON(w, http.StatusAccepted, resp)
 }
 
 func (s *Service) handleCommunities(w http.ResponseWriter, r *http.Request) {
@@ -205,7 +208,7 @@ func (s *Service) handleCommunities(w http.ResponseWriter, r *http.Request) {
 		case hist != nil:
 			sn = hist
 		case epoch < oldest:
-			writeJSON(w, http.StatusGone, map[string]any{
+			WriteJSON(w, http.StatusGone, map[string]any{
 				"error":        fmt.Sprintf("epoch %d is behind the retained snapshot window", epoch),
 				"oldest_epoch": oldest,
 				"writer_epoch": newest,
@@ -221,7 +224,22 @@ func (s *Service) handleCommunities(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	// A snapshot never changes, so neither does its body: encode it for the
+	// first request and hand every later one the same bytes.
+	sn.render.Do(func() {
+		var buf bytes.Buffer
+		json.NewEncoder(&buf).Encode(communitiesDoc(sn, res))
+		sn.body = buf.Bytes()
+	})
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(sn.body)
+}
+
+// communitiesDoc is the GET /communities document of sn, whose
+// extraction result is res. encoding/json writes map keys sorted, so its
+// encoding is a function of the snapshot alone.
+func communitiesDoc(sn *Snapshot, res *postprocess.Result) map[string]any {
+	return map[string]any{
 		"epoch":       sn.Epoch(),
 		"vertices":    sn.NumVertices(),
 		"edges":       sn.NumEdges(),
@@ -231,7 +249,7 @@ func (s *Service) handleCommunities(w http.ResponseWriter, r *http.Request) {
 		"strong":      res.Strong,
 		"weak":        res.Weak,
 		"communities": res.Cover.Communities(),
-	})
+	}
 }
 
 func (s *Service) handleVertex(w http.ResponseWriter, r *http.Request) {
@@ -262,11 +280,11 @@ func (s *Service) handleVertex(w http.ResponseWriter, r *http.Request) {
 			resp["labels"] = sn.Labels(v)
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Stats())
+	WriteJSON(w, http.StatusOK, s.Stats())
 }
 
 func (s *Service) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -286,7 +304,7 @@ func (s *Service) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			// which turns it into a non-200).
 			body["checkpoint_error"] = err.Error()
 		}
-		writeJSON(w, http.StatusOK, body)
+		WriteJSON(w, http.StatusOK, body)
 	}
 }
 
@@ -309,5 +327,5 @@ func (s *Service) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"epoch": s.snap.Load().Epoch()})
+	WriteJSON(w, http.StatusOK, map[string]any{"epoch": s.snap.Load().Epoch()})
 }

@@ -1,14 +1,18 @@
 package stream
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"rslpa/internal/core"
+	"rslpa/internal/dynamic"
 )
 
 func newHTTPService(t *testing.T) (*Service, *httptest.Server) {
@@ -86,6 +90,105 @@ func TestHTTPEditsAndCommunities(t *testing.T) {
 	}
 	if len(comm.Communities) == 0 {
 		t.Fatal("no communities served")
+	}
+}
+
+// Readers hammer /communities and /vertex/{v} while batches publish, with
+// the tier off (extraction on read demand) and on: every reader sees
+// epochs in order, every /communities body of one epoch is the same bytes
+// whichever reader got it, and with the tier on each equals a fresh encode
+// of the retained snapshot.
+func TestReadersHammerWhilePublishing(t *testing.T) {
+	for _, evoDepth := range []int{0, 64} {
+		st, g := lfrState(t, 300, 20)
+		batches, err := dynamic.Stream(g.Clone(), 8, 16, 59)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := New(seqDet{st}, Options{MaxBatch: 1 << 20, FlushInterval: time.Hour, EvolutionDepth: evoDepth})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := s.Handler()
+
+		var mu sync.Mutex
+		bodies := map[uint64][]byte{}
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		for r := 0; r < 4; r++ {
+			wg.Add(1)
+			go func(r int) {
+				defer wg.Done()
+				var last uint64
+				for i := 0; ; i++ {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					path := "/communities"
+					if (i+r)%2 == 1 {
+						path = fmt.Sprintf("/vertex/%d", (i*7+r)%300)
+					}
+					rec := httptest.NewRecorder()
+					h.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+					var doc struct {
+						Epoch uint64 `json:"epoch"`
+					}
+					if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &doc) != nil {
+						t.Errorf("GET %s = %d: %.200s", path, rec.Code, rec.Body.Bytes())
+						return
+					}
+					if doc.Epoch < last {
+						t.Errorf("reader %d saw epoch %d after %d", r, doc.Epoch, last)
+						return
+					}
+					last = doc.Epoch
+					if path != "/communities" {
+						continue
+					}
+					mu.Lock()
+					if prev, ok := bodies[doc.Epoch]; !ok {
+						bodies[doc.Epoch] = rec.Body.Bytes()
+					} else if !bytes.Equal(prev, rec.Body.Bytes()) {
+						t.Errorf("epoch %d served two different /communities bodies", doc.Epoch)
+					}
+					mu.Unlock()
+				}
+			}(r)
+		}
+		for _, b := range batches {
+			if err := s.Submit(b...); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Drain(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		close(stop)
+		wg.Wait()
+
+		if len(bodies) < 2 {
+			t.Errorf("evolution depth %d: readers saw only %d epochs", evoDepth, len(bodies))
+		}
+		for epoch, body := range bodies {
+			sn := s.snap.Load()
+			if s.evo != nil {
+				sn, _, _ = s.evo.snapshotAt(epoch)
+			} else if epoch != sn.Epoch() {
+				continue // only the head is still reachable
+			}
+			res, err := sn.Communities()
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh := httptest.NewRecorder()
+			WriteJSON(fresh, http.StatusOK, communitiesDoc(sn, res))
+			if !bytes.Equal(body, fresh.Body.Bytes()) {
+				t.Errorf("evolution depth %d, epoch %d: served body differs from a fresh encode", evoDepth, epoch)
+			}
+		}
+		s.Close()
 	}
 }
 

@@ -41,7 +41,7 @@ func newStreamMetrics(r *obs.Registry, s *Service) *streamMetrics {
 		checkpointSeconds: r.Histogram("rslpa_stream_checkpoint_seconds",
 			"Durable checkpoint write latency.", obs.LatencyBuckets),
 		querySeconds: r.Histogram("rslpa_stream_query_seconds",
-			"HTTP read-endpoint latency (/communities, /vertex).", obs.LatencyBuckets),
+			"HTTP read-endpoint latency (/communities, /vertex, /community/{id}/history).", obs.LatencyBuckets),
 		batchEdits: r.Histogram("rslpa_stream_batch_edits",
 			"Canonical net edits per applied batch.", obs.CountBuckets),
 	}

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -220,6 +221,13 @@ func TestBatchTraceSpansSumToTotal(t *testing.T) {
 				t.Errorf("epoch %d: span %q missing (have %v)", bt.Epoch, want, bt.Spans)
 			}
 		}
+		// drainVerified reads every epoch it publishes: epochs 1 and 2 are
+		// read lazily, and from epoch 3 on two epochs in a row were read and
+		// the loop idled through that read's extraction, so the batch is
+		// extracted inside its flush.
+		if seen["extract"] != (bt.Epoch > 2) {
+			t.Errorf("epoch %d: extract span present = %v (have %v)", bt.Epoch, seen["extract"], bt.Spans)
+		}
 		if sum > bt.TotalMicros {
 			t.Errorf("epoch %d: spans sum %dµs exceeds total %dµs", bt.Epoch, sum, bt.TotalMicros)
 		}
@@ -253,10 +261,12 @@ func TestBatchTraceSpansSumToTotal(t *testing.T) {
 }
 
 // Extraction is observed wherever it runs. With the evolution tier on it
-// runs on the maintenance goroutine: one histogram observation per epoch
-// (the baseline included), the edge counters carry the reuse ratio, and
-// each batch's evolution span has an extract child with the same counts.
-// With the tier off the first reader pays, once per snapshot.
+// runs on the maintenance goroutine before each swap: one histogram
+// observation per epoch (the baseline included), the edge counters carry
+// the reuse ratio, and each batch's trace has a top-level extract span
+// with the same counts beside an evolution span that is matching only.
+// With the tier off and nobody reading, nothing runs at publish and the
+// first reader pays, once per snapshot.
 func TestExtractionInstrumented(t *testing.T) {
 	reg := obs.NewRegistry()
 	ring := obs.NewTraceRing(16, 4)
@@ -289,17 +299,21 @@ func TestExtractionInstrumented(t *testing.T) {
 		}
 	}
 	for _, bt := range ring.Recent() {
-		var extract *obs.Span
+		spans := map[string]obs.Span{}
+		var names []string
 		for _, sp := range bt.Spans {
-			if sp.Name == "evolution" && len(sp.Children) == 1 && sp.Children[0].Name == "extract" {
-				if sp.Children[0].Micros > sp.Micros {
-					t.Errorf("epoch %d: extract child %dµs exceeds its evolution span %dµs", bt.Epoch, sp.Children[0].Micros, sp.Micros)
-				}
-				extract = &sp.Children[0]
+			spans[sp.Name] = sp
+			names = append(names, sp.Name)
+			if len(sp.Children) > 0 {
+				t.Errorf("epoch %d: span %q has children %v, want a flat tree", bt.Epoch, sp.Name, sp.Children)
 			}
 		}
-		if extract == nil {
-			t.Fatalf("epoch %d: no extract span under evolution (have %v)", bt.Epoch, bt.Spans)
+		extract, ok := spans["extract"]
+		if _, evo := spans["evolution"]; !ok || !evo {
+			t.Fatalf("epoch %d: want top-level extract and evolution spans, have %v", bt.Epoch, names)
+		}
+		if want := []string{"coalesce", "update", "publish", "extract"}; !reflect.DeepEqual(names[:len(want)], want) {
+			t.Errorf("epoch %d: spans %v, want extract right after publish", bt.Epoch, names)
 		}
 		if e, r := extract.Attrs["edges"], extract.Attrs["edges_reweighted"]; e == 0 || r == 0 || r >= e {
 			t.Errorf("epoch %d: extract span attrs edges=%d edges_reweighted=%d", bt.Epoch, e, r)

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"rslpa/internal/core"
@@ -45,7 +46,7 @@ func cloneShard(det Detector, g *graph.Graph, idx int) *snapShard {
 // communities, membership — is answered from the frozen shards, so a
 // snapshot stays internally consistent no matter how far the live
 // detector advances, and readers on one snapshot share a single memoized
-// extraction.
+// extraction and a single rendered GET /communities body.
 type Snapshot struct {
 	epoch  uint64
 	shards []*snapShard
@@ -70,6 +71,9 @@ type Snapshot struct {
 	member map[uint32][]int
 	err    error
 	work   extractWork
+
+	render sync.Once
+	body   []byte // the GET /communities body, encoded by the first request
 }
 
 // extraction is what a service's snapshots share to extract communities:
@@ -81,10 +85,19 @@ type Snapshot struct {
 // publish — rebuilds the table through the same routine with every vertex
 // dirty. A snapshot older than the anchor (a retained historical epoch
 // read late) weighs its edges in its scratch's private table and leaves
-// the shared one alone. Nothing here runs at publish time: a service
-// nobody reads never builds the table.
+// the shared one alone.
+//
+// demand is how the maintenance goroutine knows whether anyone reads: a
+// reader's Communities or Membership sets it, and each publish consumes
+// it (readersKeepPace). With last, the duration of the most recent
+// extraction, it decides whether a publish extracts the new epoch before
+// the swap (Service.extractBeforeSwap). A service nobody reads never
+// extracts and never builds the table.
 type extraction struct {
-	scratch sync.Pool // of *postprocess.ExtractScratch
+	scratch  sync.Pool // of *postprocess.ExtractScratch
+	demand   atomic.Bool
+	readPrev bool         // the previous publish consumed a demand; maintenance goroutine only
+	last     atomic.Int64 // nanoseconds the most recent extraction took
 
 	mu      sync.Mutex // guards the table and its anchor
 	weights postprocess.WeightTable
@@ -95,10 +108,9 @@ type extraction struct {
 	reweighted *obs.Counter
 }
 
-// extractWork is what one snapshot's extraction cost: its wall time, the
-// edges it emitted and how many of them it had to re-weigh.
+// extractWork is what one snapshot's extraction cost: the edges it
+// emitted and how many of them it had to re-weigh.
 type extractWork struct {
-	dur               time.Duration
 	edges, reweighted int
 }
 
@@ -107,7 +119,7 @@ type extractWork struct {
 func newExtraction(r *obs.Registry) *extraction {
 	x := &extraction{
 		seconds: r.Histogram("rslpa_stream_extract_seconds",
-			"Community extraction latency per snapshot, wherever it ran (maintenance goroutine or first reader).",
+			"Community extraction latency per snapshot, wherever it ran (maintenance goroutine before the swap, or the epoch's first reader).",
 			obs.LatencyBuckets),
 		edges: r.Counter("rslpa_stream_extract_edges_total",
 			"Edges emitted into community extraction."),
@@ -116,6 +128,27 @@ func newExtraction(r *obs.Registry) *extraction {
 	}
 	x.scratch.New = func() any { return new(postprocess.ExtractScratch) }
 	return x
+}
+
+// noteRead records that a reader asked for communities. Nil-safe: a
+// snapshot built outside a service has no extraction state to tell.
+func (x *extraction) noteRead() {
+	if x != nil && !x.demand.Load() { // skip the store, and its cache-line write, while already set
+		x.demand.Store(true)
+	}
+}
+
+// readersKeepPace consumes the read demand at a publish and reports
+// whether the last two epochs were both read while each was the newest.
+// Readers that keep pace with the publishes will read the next epoch too;
+// one that polls less often than the service publishes would leave an
+// extraction made for it unused, and lands on a later epoch instead.
+// Maintenance goroutine only.
+func (x *extraction) readersKeepPace() bool {
+	read := x.demand.Swap(false)
+	paced := read && x.readPrev
+	x.readPrev = read
+	return paced
 }
 
 // weigh produces sn's weighted edges in sc's buffer and reports how many
@@ -288,14 +321,24 @@ func (sn *Snapshot) Neighbors(v uint32) []uint32 {
 	return nil
 }
 
-// Communities extracts the snapshot's overlapping communities. The first
-// caller pays for extraction; every later call on the same snapshot —
-// including Membership — returns the memoized result. Extraction runs on
-// the frozen shards, entirely on the reader side: it never blocks the
-// maintenance goroutine and, for a distributed detector, never touches the
-// cluster engine (the sequential extraction is bit-identical to the
-// distributed one by the postprocessing equivalence tests).
+// Communities extracts the snapshot's overlapping communities, once per
+// snapshot: every later call — including Membership — returns the
+// memoized result. A call also tells the service that someone reads:
+// while readers keep pace with the publishes and the write path has the
+// time, the service extracts each epoch before swapping it in and the
+// reader finds it already extracted; any other epoch is extracted here,
+// by its first caller. Extraction runs on the frozen shards and, for a
+// distributed detector, never touches the cluster engine (the sequential
+// extraction is bit-identical to the distributed one by the
+// postprocessing equivalence tests).
 func (sn *Snapshot) Communities() (*postprocess.Result, error) {
+	sn.ext.noteRead()
+	return sn.communities()
+}
+
+// communities is Communities without registering demand: the maintenance
+// goroutine's own calls, which are not reads.
+func (sn *Snapshot) communities() (*postprocess.Result, error) {
 	sn.extract()
 	return sn.res, sn.err
 }
@@ -303,9 +346,8 @@ func (sn *Snapshot) Communities() (*postprocess.Result, error) {
 // Membership returns the indices (into Communities().Cover) of the
 // communities containing v; nil for uncovered or absent vertices.
 func (sn *Snapshot) Membership(v uint32) ([]int, error) {
-	sn.extract()
-	if sn.err != nil {
-		return nil, sn.err
+	if _, err := sn.Communities(); err != nil {
+		return nil, err
 	}
 	return sn.member[v], nil
 }
@@ -323,9 +365,11 @@ func (sn *Snapshot) extract() {
 		sc := x.scratch.Get().(*postprocess.ExtractScratch)
 		edges, reweighted := x.weigh(sn, sc)
 		sn.res, sn.err = sc.ExtractFromWeights(sn, edges, sn.pcfg)
-		sn.work = extractWork{dur: time.Since(t0), edges: len(edges), reweighted: reweighted}
+		sn.work = extractWork{edges: len(edges), reweighted: reweighted}
 		x.scratch.Put(sc)
-		x.seconds.Observe(sn.work.dur.Seconds())
+		took := time.Since(t0)
+		x.last.Store(int64(took))
+		x.seconds.Observe(took.Seconds())
 		x.edges.Add(uint64(len(edges)))
 		x.reweighted.Add(uint64(reweighted))
 		if sn.err == nil {

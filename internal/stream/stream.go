@@ -21,7 +21,10 @@
 //     served lock-free from an immutable, epoch-versioned snapshot that
 //     the maintenance goroutine swaps in atomically after every applied
 //     batch. Readers never block the writer, never see a partially
-//     applied batch, and a held snapshot stays consistent forever.
+//     applied batch, and a held snapshot stays consistent forever. While
+//     readers keep pace and batches leave it the time, the maintenance
+//     goroutine extracts each epoch's communities before swapping it in,
+//     so a read finds them computed.
 //
 // # Copy-on-write publication
 //
@@ -253,10 +256,11 @@ type Stats struct {
 	LastRoundsRun     int    `json:"last_rounds_run"`
 
 	// Temporal evolution diff latency (EvolutionDepth > 0): the wall time
-	// the last batch spent diffing the published snapshot's communities
-	// against the previous epoch's, and the cumulative total — the
-	// yardstick for the "<10% of steady-state publish latency" budget.
-	// Omitted as zero when the tier is off.
+	// the last batch spent matching the published snapshot's communities
+	// against the previous epoch's (their extraction ran before the swap
+	// and is timed by rslpa_stream_extract_seconds), and the cumulative
+	// total — the yardstick for the "<10% of steady-state publish latency"
+	// budget. Omitted as zero when the tier is off.
 	LastEvolutionMicros  int64 `json:"last_evolution_micros,omitempty"`
 	TotalEvolutionMicros int64 `json:"total_evolution_micros,omitempty"`
 
@@ -299,10 +303,12 @@ type Service struct {
 
 	// Maintenance-goroutine-private batch bookkeeping: when the pending
 	// batch's first edit arrived, how much time coalescing it has cost,
-	// and the previous engine wire reading (for per-batch trace deltas).
+	// the previous engine wire reading (for per-batch trace deltas), and
+	// when the previous flush returned (service start before the first).
 	pendSince    time.Time
 	pendCoalesce time.Duration
 	prevEng      [3]int64
+	idleSince    time.Time
 
 	closeOnce sync.Once
 	closeErr  error
@@ -389,6 +395,7 @@ func New(det Detector, opts Options) (*Service, error) {
 		log:   opts.Logger,
 		start: time.Now(),
 	}
+	s.idleSince = s.start
 	if s.log == nil {
 		s.log = slog.New(slog.DiscardHandler)
 	}
@@ -790,6 +797,17 @@ func (s *Service) flush(co *graph.Coalescer, sinceCkpt *int) error {
 		next = nextSnapshot(prev, s.det, stats.Dirty, stats)
 	}
 	pub := time.Since(p0)
+
+	// Extract before the swap when it pays (extractBeforeSwap): until the
+	// swap readers are served the previous epoch, already extracted, so
+	// none waits on the head's extraction, and the weight table advances
+	// one epoch at a time.
+	var extDur time.Duration
+	if s.extractBeforeSwap(next.ext, flushStart.Sub(s.idleSince)) {
+		e0 := time.Now()
+		next.extract()
+		extDur = time.Since(e0)
+	}
 	s.snap.Store(next)
 
 	// Temporal evolution: diff the just-published snapshot's communities
@@ -890,18 +908,40 @@ func (s *Service) flush(co *graph.Coalescer, sinceCkpt *int) error {
 	}
 	if s.trace != nil {
 		s.trace.Record(s.batchTrace(next, flushStart, len(batch), coalesceDur,
-			dur, pub, journalDur, ckptDur, evoDur, stats, engDelta))
+			dur, pub, extDur, journalDur, ckptDur, evoDur, stats, engDelta))
 	}
+	s.idleSince = time.Now()
 	return flushErr
+}
+
+// extractBeforeSwap decides, at each publish, whether flush extracts the
+// new epoch on the maintenance goroutine before swapping it in. A live
+// evolution tier needs the cover for its diff anyway. Otherwise both must
+// hold:
+//   - readers keep pace (extraction.readersKeepPace): the work will be
+//     used, and a reader that polls less often than the service publishes
+//     leaves the epochs it skips lazy;
+//   - the write path can afford it: the loop sat idle since its previous
+//     flush for at least as long as the last extraction took. Batches that
+//     arrive faster than that — an ingest flood, a follower catching up —
+//     would each wait behind an extraction, so there readers extract on
+//     their own goroutines, as on a service nobody reads.
+func (s *Service) extractBeforeSwap(x *extraction, idle time.Duration) bool {
+	paced := x.readersKeepPace() // every publish consumes the demand
+	if s.evo != nil && s.evo.failure() == nil {
+		return true
+	}
+	return paced && idle >= time.Duration(x.last.Load())
 }
 
 // batchTrace assembles the pipeline span tree of one flushed batch. The
 // root's TotalMicros covers the coalescing the batch accumulated while
 // pending plus the flush wall time; the spans are the individually timed
 // stages, so they sum to the total up to the untimed residue (stats
-// bookkeeping, snapshot pointer swap).
+// bookkeeping, snapshot pointer swap). extract is zero when the batch
+// was published unextracted.
 func (s *Service) batchTrace(next *Snapshot, flushStart time.Time, edits int,
-	coalesce, update, publish, journal, ckpt, evo time.Duration,
+	coalesce, update, publish, extract, journal, ckpt, evo time.Duration,
 	stats core.UpdateStats, engDelta [3]int64) obs.BatchTrace {
 	updAttrs := map[string]int64{
 		"rounds_run":     int64(stats.RoundsRun),
@@ -922,6 +962,14 @@ func (s *Service) batchTrace(next *Snapshot, flushStart time.Time, edits int,
 			"snapshot_shards":    int64(next.NumShards()),
 		}},
 	}
+	if extract > 0 {
+		// Extracted on this goroutine before the swap: no reader could
+		// have reached next yet, so its work record is this batch's.
+		spans = append(spans, obs.Span{Name: "extract", Micros: extract.Microseconds(), Attrs: map[string]int64{
+			"edges":            int64(next.work.edges),
+			"edges_reweighted": int64(next.work.reweighted),
+		}})
+	}
 	if journal > 0 {
 		spans = append(spans, obs.Span{Name: "journal", Micros: journal.Microseconds()})
 	}
@@ -929,14 +977,7 @@ func (s *Service) batchTrace(next *Snapshot, flushStart time.Time, edits int,
 		spans = append(spans, obs.Span{Name: "checkpoint", Micros: ckpt.Microseconds()})
 	}
 	if evo > 0 {
-		// The diff forced next's extraction (or waited out a reader that got
-		// there first, hence the clamp), so its work record is settled.
-		w := next.work
-		spans = append(spans, obs.Span{Name: "evolution", Micros: evo.Microseconds(),
-			Children: []obs.Span{{Name: "extract", Micros: min(w.dur, evo).Microseconds(), Attrs: map[string]int64{
-				"edges":            int64(w.edges),
-				"edges_reweighted": int64(w.reweighted),
-			}}}})
+		spans = append(spans, obs.Span{Name: "evolution", Micros: evo.Microseconds()})
 	}
 	return obs.BatchTrace{
 		Epoch:       next.Epoch(),

@@ -223,8 +223,11 @@ func (s Snapshot) UpdateStats() UpdateStats { return s.sn.UpdateStats() }
 // absent vertices. Do not mutate the returned slice.
 func (s Snapshot) Labels(v uint32) []uint32 { return s.sn.Labels(v) }
 
-// Communities extracts the snapshot's overlapping communities. The first
-// call pays for extraction; later calls (and Membership) reuse it.
+// Communities returns the snapshot's overlapping communities, extracted
+// once per snapshot; later calls (and Membership) reuse it. Calling it
+// tells the service someone reads: while reads keep pace with the
+// publishes and batches leave it the time, it extracts each epoch before
+// swapping it in and the call finds it computed.
 func (s Snapshot) Communities() (*Result, error) {
 	res, err := s.sn.Communities()
 	if err != nil {

@@ -1,6 +1,7 @@
 package rslpa_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
@@ -886,6 +887,21 @@ func fetchEventsPage(t *testing.T, base string, from uint64, max int) ([]byte, [
 	return body, env.Events
 }
 
+// fetchBody GETs url and returns the raw body and status.
+func fetchBody(t *testing.T, url string) ([]byte, int) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body, resp.StatusCode
+}
+
 // The evolution equivalence pin: a follower that bootstraps the writer's
 // evolution state and replays the writer's canonical batches must serve a
 // byte-identical GET /events stream — same kinds, same epochs, same
@@ -991,6 +1007,20 @@ func TestFollowerEventsMatchWriter(t *testing.T) {
 		t.Fatal("no evolution events emitted over the run")
 	}
 
+	// Every epoch's /communities body — rendered once per snapshot on each
+	// tier — is the same bytes on writer and follower.
+	for e := uint64(0); e <= head; e++ {
+		path := fmt.Sprintf("/communities?epoch=%d", e)
+		wb, wcode := fetchBody(t, writer.URL+path)
+		fb, fcode := fetchBody(t, follower.URL+path)
+		if wcode != http.StatusOK || fcode != http.StatusOK {
+			t.Fatalf("GET %s: writer %d, follower %d", path, wcode, fcode)
+		}
+		if !bytes.Equal(wb, fb) {
+			t.Fatalf("GET %s differs:\nwriter:   %.200s\nfollower: %.200s", path, wb, fb)
+		}
+	}
+
 	// Spot-check lineage histories through the same byte-equality lens.
 	_, wev := fetchEventsPage(t, writer.URL, 0, 1024)
 	checked := 0
@@ -1002,20 +1032,10 @@ func TestFollowerEventsMatchWriter(t *testing.T) {
 		seenLineage[ev.Lineage] = true
 		checked++
 		url := fmt.Sprintf("/community/%d/history", ev.Lineage)
-		wr, err := http.Get(writer.URL + url)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wbody, _ := io.ReadAll(wr.Body)
-		wr.Body.Close()
-		fr, err := http.Get(follower.URL + url)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fbody, _ := io.ReadAll(fr.Body)
-		fr.Body.Close()
-		if wr.StatusCode != http.StatusOK || fr.StatusCode != http.StatusOK {
-			t.Fatalf("history %s: writer %d, follower %d", url, wr.StatusCode, fr.StatusCode)
+		wbody, wcode := fetchBody(t, writer.URL+url)
+		fbody, fcode := fetchBody(t, follower.URL+url)
+		if wcode != http.StatusOK || fcode != http.StatusOK {
+			t.Fatalf("history %s: writer %d, follower %d", url, wcode, fcode)
 		}
 		if string(wbody) != string(fbody) {
 			t.Fatalf("history %s differs:\nwriter:   %s\nfollower: %s", url, wbody, fbody)
