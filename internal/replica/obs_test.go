@@ -108,6 +108,7 @@ func TestFollowerMetricsAcrossRebootstrap(t *testing.T) {
 		"rslpa_stream_epoch", "rslpa_stream_update_seconds",
 		"rslpa_stream_extract_seconds", "rslpa_stream_extract_edges_total",
 		"rslpa_stream_extract_edges_reweighted_total",
+		"rslpa_go_heap_live_bytes",
 	} {
 		if fams[name] == nil {
 			t.Errorf("family %q missing from follower exposition", name)

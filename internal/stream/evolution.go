@@ -10,7 +10,7 @@ package stream
 //	                               /feed-style 410-behind-the-horizon
 //	                               cursor semantics
 //	GET /community/{id}/history    one lineage's retained life-cycle
-//	GET /communities?epoch=E       a retained historical snapshot's cover
+//	GET /communities?epoch=E       a retained past epoch's cover
 //	GET /evolution/state           the serialized matcher baseline at the
 //	                               in-memory checkpoint's epoch, so a
 //	                               follower bootstraps with the writer's
@@ -20,7 +20,7 @@ package stream
 // the snapshot swap: epochs stay contiguous (the tracker refuses gaps),
 // the journal never reorders, and the snapshot it matches was already
 // extracted before the swap, so the diff and every reader share that one
-// memoized extraction. Determinism end to end —
+// memoized extraction (the window keeps its cover). Determinism end to end —
 // canonical batches, bit-identical updates, order-stable extraction,
 // exact-rational matching — is what lets a follower replaying the feed
 // emit a byte-identical /events stream without any event replication.
@@ -28,9 +28,9 @@ package stream
 import (
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
-	"path/filepath"
 	"strconv"
 	"sync"
 	"time"
@@ -50,17 +50,16 @@ const (
 	eventsMaxLimit   = 1024
 )
 
-// evoTier owns the tracker, the retained snapshot window, and the
-// evolution metric instruments. The mutex covers tracker and window
-// state: the maintenance goroutine writes under Lock, HTTP readers read
-// under RLock.
+// evoTier owns the tracker, the retained cover window, and the evolution
+// metric instruments. The mutex covers tracker and window state: the
+// maintenance goroutine writes under Lock, HTTP readers read under RLock.
 type evoTier struct {
 	depth int
 
 	mu     sync.RWMutex
 	tr     *evolution.Tracker
-	snaps  []*Snapshot // retained window, contiguous ascending epochs
-	failed error       // latched diff/extraction failure; /events turns 503
+	covers []*cover // retained window, contiguous ascending epochs
+	failed error    // latched diff/extraction failure; /events turns 503
 
 	events      *obs.CounterVec
 	diffSeconds *obs.Histogram
@@ -69,7 +68,7 @@ type evoTier struct {
 // initEvolution builds the tier at service start: restore the tracker
 // baseline from an explicit state image (follower bootstrap — strict) or
 // the checkpoint sidecar (writer restart — lenient), else rebase on the
-// initial snapshot's communities.
+// initial snapshot's communities. A restored baseline leaves sn0 lazy.
 func (s *Service) initEvolution(sn0 *Snapshot) error {
 	e := &evoTier{
 		depth: s.opts.EvolutionDepth,
@@ -108,7 +107,7 @@ func (s *Service) initEvolution(sn0 *Snapshot) error {
 		}
 		e.tr.Rebase(sn0.Epoch(), res.Cover.Communities())
 	}
-	e.snaps = []*Snapshot{sn0}
+	e.covers = []*cover{sn0.cover}
 
 	if r := s.opts.Obs; r != nil {
 		e.events = r.CounterVec("rslpa_evolution_events_total",
@@ -154,8 +153,8 @@ func (s *Service) advanceEvolution(next *Snapshot) time.Duration {
 	e.mu.Lock()
 	evs, err := e.tr.Advance(next.Epoch(), res.Cover.Communities())
 	if err == nil {
-		// Window: the current snapshot plus up to depth historical ones.
-		e.snaps = trimFront(append(e.snaps, next), e.depth+1)
+		// Window: the head's (extracted) cover plus up to depth past ones.
+		e.covers = trimFront(append(e.covers, next.cover), e.depth+1)
 	} else {
 		e.failed = fmt.Errorf("stream: evolution diff: %w", err)
 	}
@@ -281,17 +280,17 @@ func (s *Service) handleCommunityHistory(w http.ResponseWriter, r *http.Request)
 	})
 }
 
-// snapshotAt returns the retained snapshot of the given epoch, or the
-// window bounds when it is outside.
-func (e *evoTier) snapshotAt(epoch uint64) (sn *Snapshot, oldest, newest uint64) {
+// coverAt returns the retained cover of the given epoch, or the window
+// bounds when it is outside.
+func (e *evoTier) coverAt(epoch uint64) (c *cover, oldest, newest uint64) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	oldest = e.snaps[0].Epoch()
-	newest = e.snaps[len(e.snaps)-1].Epoch()
+	oldest = e.covers[0].epoch
+	newest = e.covers[len(e.covers)-1].epoch
 	if epoch >= oldest && epoch <= newest {
-		sn = e.snaps[epoch-oldest]
+		c = e.covers[epoch-oldest]
 	}
-	return sn, oldest, newest
+	return c, oldest, newest
 }
 
 // handleEvolutionState serves the serialized tracker baseline captured
@@ -321,9 +320,8 @@ func (s *Service) handleEvolutionState(w http.ResponseWriter, r *http.Request) {
 }
 
 // writeEvolutionSidecar persists the current in-memory evolution state
-// next to the detector checkpoint, with the same atomic tmp + fsync +
-// rename discipline, so a restarted writer resumes lineage assignment
-// where it left off.
+// next to the detector checkpoint, through the same writeFileAtomic, so a
+// restarted writer resumes lineage assignment where it left off.
 func (s *Service) writeEvolutionSidecar() error {
 	path := s.opts.CheckpointPath + evolutionSidecarSuffix
 	data, err := s.evo.saveState()
@@ -334,31 +332,8 @@ func (s *Service) writeEvolutionSidecar() error {
 		os.Remove(path)
 		return nil
 	}
-	dir, base := filepath.Split(path)
-	if dir == "" {
-		dir = "."
-	}
-	tmp, err := os.CreateTemp(dir, base+".tmp*")
-	if err != nil {
+	return writeFileAtomic(path, func(w io.Writer) error {
+		_, err := w.Write(data)
 		return err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return syncDir(dir)
+	})
 }

@@ -1,10 +1,14 @@
 package stream
 
 import (
+	"bytes"
+	"io"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strconv"
+	"sync"
 	"testing"
 	"time"
 
@@ -146,7 +150,7 @@ func TestCommunityHistoryRoute(t *testing.T) {
 	}
 }
 
-// /communities?epoch=E serves retained historical snapshots: inside the
+// /communities?epoch=E serves retained past epochs' covers: inside the
 // window 200, behind it 410 (like /feed and /events), ahead of it 404.
 func TestCommunitiesEpochWindow(t *testing.T) {
 	s, srv, _ := newFeedService(t, Options{FlushInterval: time.Hour, EvolutionDepth: 2})
@@ -343,6 +347,113 @@ func TestLineageStableAcrossCheckpointRestart(t *testing.T) {
 		default:
 			t.Errorf("post-restart event on unknown lineage: %+v", ev)
 		}
+	}
+}
+
+// A follower built from GET /checkpoint and GET /evolution/state starts
+// at a restored BaseEpoch it never extracts on its own: New extracts
+// nothing, replaying fewer than depth batches extracts only the replayed
+// epochs, and ?epoch=BaseEpoch, extracted by that read through the
+// window, is the writer's head body of that epoch byte for byte. The
+// replayed epochs' bodies match the writer's too.
+func TestRestoredBootstrapEpochStaysLazy(t *testing.T) {
+	const depth = 4
+	w, wsrv, _ := newFeedService(t, Options{
+		FlushInterval: time.Hour, JournalDepth: 4, CheckpointEvery: 2, EvolutionDepth: depth,
+	})
+	wh := w.Handler()
+	applyBatches(t, w, 2, 10)
+	base := w.Snapshot().Epoch()
+	heads := map[uint64][]byte{base: requireRenderedBody(t, wh, "/communities", w.snap.Load())}
+
+	fetch := func(path string) []byte {
+		t.Helper()
+		resp, err := http.Get(wsrv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s = %d: %v", path, resp.StatusCode, err)
+		}
+		if e := resp.Header.Get(CheckpointEpochHeader); e != strconv.FormatUint(base, 10) {
+			t.Fatalf("GET %s at epoch %s, want %d", path, e, base)
+		}
+		return body
+	}
+	ck, err := core.ReadCheckpoint(bytes.NewReader(fetch("/checkpoint")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := ck.BuildState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := New(seqDet{st}, Options{
+		MaxBatch: 1 << 20, FlushInterval: time.Hour, BaseEpoch: base,
+		EvolutionDepth: depth, EvolutionState: fetch("/evolution/state"),
+		Obs: obs.NewRegistry(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	fh := f.Handler()
+	x := f.snap.Load().ext
+	if n := x.seconds.Count(); n != 0 {
+		t.Fatalf("rslpa_stream_extract_seconds_count = %d right after New, want 0", n)
+	}
+
+	const replayed = depth - 1
+	for i := uint32(0); i < replayed; i++ {
+		applyBatches(t, w, 1, 20+i)
+		heads[base+uint64(i)+1] = requireRenderedBody(t, wh, "/communities", w.snap.Load())
+	}
+	var feed FeedResponse
+	if code := getJSON(t, wsrv.URL+"/feed?from="+strconv.FormatUint(base, 10), &feed); code != http.StatusOK {
+		t.Fatalf("GET /feed = %d", code)
+	}
+	for _, b := range feed.Batches {
+		for _, we := range b.Edits {
+			e, err := we.edit()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Submit(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := f.Drain(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := x.seconds.Count(); n != replayed {
+		t.Fatalf("%d extractions after replaying %d batches, want %d: the bootstrap epoch must stay lazy", n, replayed, replayed)
+	}
+	// Concurrent first reads of the bootstrap epoch share one extraction.
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rec := httptest.NewRecorder()
+			fh.ServeHTTP(rec, httptest.NewRequest("GET", "/communities?epoch="+strconv.FormatUint(base, 10), nil))
+			if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), heads[base]) {
+				t.Errorf("concurrent GET ?epoch=%d = %d, body differs from the writer's", base, rec.Code)
+			}
+		}()
+	}
+	wg.Wait()
+	requireHistory(t, fh, heads, base+replayed, depth)
+	if n := x.seconds.Count(); n != replayed+1 {
+		t.Fatalf("%d extractions after reading ?epoch=%d, want %d", n, base, replayed+1)
+	}
+	f.evo.mu.RLock()
+	boot := f.evo.covers[0]
+	f.evo.mu.RUnlock()
+	if boot.epoch != base || boot.src.Load() != nil {
+		t.Fatalf("oldest cover: epoch %d (want %d), still holds its snapshot: %v", boot.epoch, base, boot.src.Load() != nil)
 	}
 }
 

@@ -84,23 +84,48 @@ func lfrState(t testing.TB, n int, T int) (*core.State, *graph.Graph) {
 	return st, gen.Graph
 }
 
-// requireRenderedBody holds the memoized GET path body of sn to a fresh
-// encode of its document, on the request that fills the memo and on one
-// served from it.
-func requireRenderedBody(t testing.TB, h http.Handler, path string, sn *Snapshot) {
+// requireBody holds the GET path body to want, on the request that fills
+// the memo and on one served from it.
+func requireBody(t testing.TB, h http.Handler, path string, want []byte) {
 	t.Helper()
-	res, err := sn.Communities()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh := httptest.NewRecorder()
-	WriteJSON(fresh, http.StatusOK, communitiesDoc(sn, res))
 	for i := 0; i < 2; i++ {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
-		if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), fresh.Body.Bytes()) {
-			t.Fatalf("GET %s (request %d) = %d, body differs from a fresh encode of epoch %d:\ngot  %.200s\nwant %.200s",
-				path, i+1, rec.Code, sn.Epoch(), rec.Body.Bytes(), fresh.Body.Bytes())
+		if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), want) {
+			t.Fatalf("GET %s (request %d) = %d, body differs:\ngot  %.200s\nwant %.200s",
+				path, i+1, rec.Code, rec.Body.Bytes(), want)
+		}
+	}
+}
+
+// requireRenderedBody holds the memoized GET path body of sn to a fresh
+// encode of its document and returns it.
+func requireRenderedBody(t testing.TB, h http.Handler, path string, sn *Snapshot) []byte {
+	t.Helper()
+	if _, err := sn.Communities(); err != nil {
+		t.Fatal(err)
+	}
+	fresh := httptest.NewRecorder()
+	WriteJSON(fresh, http.StatusOK, communitiesDoc(sn.cover))
+	requireBody(t, h, path, fresh.Body.Bytes())
+	return fresh.Body.Bytes()
+}
+
+// requireHistory holds GET /communities?epoch=E to the head body recorded
+// at E, for every E of heads: 200 and the same bytes inside the window of
+// the last depth+1 epochs up to head, 410 behind it.
+func requireHistory(t testing.TB, h http.Handler, heads map[uint64][]byte, head uint64, depth int) {
+	t.Helper()
+	for e, want := range heads {
+		path := fmt.Sprintf("/communities?epoch=%d", e)
+		if e+uint64(depth) >= head {
+			requireBody(t, h, path, want)
+			continue
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+		if rec.Code != http.StatusGone {
+			t.Fatalf("GET %s at head %d = %d, want 410", path, head, rec.Code)
 		}
 	}
 }
@@ -108,9 +133,10 @@ func requireRenderedBody(t testing.TB, h http.Handler, path string, sn *Snapshot
 // Every epoch of a long edit stream extracts to the reference result —
 // on the maintenance goroutine (for the evolution diff, or because
 // drainVerified kept reading) or lazily by drainVerified itself — and the
-// epochs after the first re-weigh only part of the graph. Each epoch's /communities body, and
-// with the tier on each retained ?epoch=E body, is byte-equal to a fresh
-// encode.
+// epochs after the first re-weigh only part of the graph. Each epoch's
+// /communities body is byte-equal to a fresh encode, and with the tier on
+// each retained ?epoch=E body is byte-equal to the body served while E
+// was the head.
 func TestIncrementalExtractEveryEpoch(t *testing.T) {
 	for _, evoDepth := range []int{0, 4} {
 		st, g := lfrState(t, 600, 30)
@@ -124,6 +150,7 @@ func TestIncrementalExtractEveryEpoch(t *testing.T) {
 		}
 		h := s.Handler()
 		requireFullExtract(t, s.snap.Load())
+		heads := map[uint64][]byte{0: requireRenderedBody(t, h, "/communities", s.snap.Load())}
 		for _, batch := range batches {
 			if err := s.Submit(batch...); err != nil {
 				t.Fatal(err)
@@ -134,14 +161,9 @@ func TestIncrementalExtractEveryEpoch(t *testing.T) {
 				t.Fatalf("evolution depth %d, epoch %d: re-weighed %d of %d edges, want a proper part",
 					evoDepth, sn.Epoch(), w.reweighted, w.edges)
 			}
-			requireRenderedBody(t, h, "/communities", sn)
-			if s.evo == nil {
-				continue
-			}
-			for e := uint64(0); e <= sn.Epoch(); e++ {
-				if hist, _, _ := s.evo.snapshotAt(e); hist != nil {
-					requireRenderedBody(t, h, fmt.Sprintf("/communities?epoch=%d", e), hist)
-				}
+			heads[sn.Epoch()] = requireRenderedBody(t, h, "/communities", sn)
+			if s.evo != nil {
+				requireHistory(t, h, heads, sn.Epoch(), evoDepth)
 			}
 		}
 		s.Close()
@@ -361,44 +383,61 @@ func TestExtractFallsBackToFull(t *testing.T) {
 	}
 }
 
-// Snapshots evicted from the evolution window, and batches evicted from
-// the journal, must become collectable: trimming the window by reslicing
-// its front kept them reachable through the backing array.
+// The evolution window retains covers, not snapshots: a snapshot is
+// collectable as soon as it stops being the head, even while its epoch is
+// still inside the window, and each retained ?epoch=E keeps serving the
+// bytes served while E was the head. Covers evicted from the window, and
+// batches evicted from the journal, must become collectable too: trimming
+// a window by reslicing its front kept them reachable through the backing
+// array.
 func TestEvictedSnapshotIsCollected(t *testing.T) {
 	const depth = 2
 	s, _ := newTestService(t, Options{FlushInterval: time.Hour, EvolutionDepth: depth, JournalDepth: depth, CheckpointEvery: depth})
-	collected := make(chan uint64, 16)
+	h := s.Handler()
+	snapsGone := make(chan uint64, 16)
+	coversGone := make(chan uint64, 16)
+	heads := map[uint64][]byte{}
 	track := func() {
 		sn := s.snap.Load()
 		epoch := sn.Epoch()
-		runtime.SetFinalizer(sn, func(*Snapshot) { collected <- epoch })
+		heads[epoch] = requireRenderedBody(t, h, "/communities", sn)
+		runtime.SetFinalizer(sn, func(*Snapshot) { snapsGone <- epoch })
+		runtime.SetFinalizer(sn.cover, func(*cover) { coversGone <- epoch })
 	}
 	track() // epoch 0
-	for i := 0; i < 6; i++ {
+	const head = 6
+	for i := 0; i < head; i++ {
 		if err := s.Submit(graph.Edit{Op: graph.Insert, U: 0, V: 10 + uint32(i)}); err != nil {
 			t.Fatal(err)
 		}
 		drainVerified(t, s)
 		track()
 	}
-	// Epochs 0..6 published, window holds 4..6: 0..3 must all go.
-	gone := map[uint64]bool{}
-	deadline := time.After(10 * time.Second)
-	for len(gone) < 4 {
-		runtime.GC()
-		select {
-		case e := <-collected:
-			gone[e] = true
-		case <-deadline:
-			t.Fatalf("evicted snapshots still reachable after GC: collected only %v", gone)
-		case <-time.After(10 * time.Millisecond):
+	// awaitCollected collects from gone until it holds exactly the epochs
+	// below n: every one of them unreachable, none at or above n.
+	awaitCollected := func(what string, gone chan uint64, n uint64) {
+		t.Helper()
+		seen := map[uint64]bool{}
+		deadline := time.After(10 * time.Second)
+		for uint64(len(seen)) < n {
+			runtime.GC()
+			select {
+			case e := <-gone:
+				if e >= n {
+					t.Fatalf("retained %s of epoch %d was collected", what, e)
+				}
+				seen[e] = true
+			case <-deadline:
+				t.Fatalf("%ss still reachable after GC: collected only %v of epochs below %d", what, seen, n)
+			case <-time.After(10 * time.Millisecond):
+			}
 		}
 	}
-	for e := range gone {
-		if e > 3 {
-			t.Fatalf("retained epoch %d was collected", e)
-		}
-	}
+	// Epochs 0..6 published; the window holds the covers of 4..6 and only
+	// the head keeps its snapshot.
+	awaitCollected("snapshot", snapsGone, head)
+	awaitCollected("cover", coversGone, head-depth)
+	requireHistory(t, h, heads, head, depth)
 
 	s.jmu.RLock()
 	journal := s.journal

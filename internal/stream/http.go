@@ -12,7 +12,6 @@ import (
 
 	"rslpa/internal/graph"
 	"rslpa/internal/obs"
-	"rslpa/internal/postprocess"
 )
 
 // maxEditBody bounds a single POST /edits body (16 MiB ≈ one million
@@ -190,10 +189,11 @@ func (s *Service) handleEdits(w http.ResponseWriter, r *http.Request) {
 
 func (s *Service) handleCommunities(w http.ResponseWriter, r *http.Request) {
 	sn := s.Snapshot()
+	c := sn.cover
 	if es := r.URL.Query().Get("epoch"); es != "" {
-		// Historical read over the evolution tier's retained snapshot
-		// window: behind the window is 410 Gone (like /feed and /events),
-		// ahead of the head is 404.
+		// Historical read over the evolution tier's retained cover window:
+		// behind the window is 410 Gone (like /feed and /events), ahead of
+		// the head is 404.
 		if s.evo == nil {
 			writeError(w, http.StatusNotFound, errors.New("?epoch requires evolution tracking (EvolutionDepth > 0)"))
 			return
@@ -203,10 +203,10 @@ func (s *Service) handleCommunities(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("epoch: %w", err))
 			return
 		}
-		hist, oldest, newest := s.evo.snapshotAt(epoch)
+		hist, oldest, newest := s.evo.coverAt(epoch)
 		switch {
 		case hist != nil:
-			sn = hist
+			c = hist
 		case epoch < oldest:
 			WriteJSON(w, http.StatusGone, map[string]any{
 				"error":        fmt.Sprintf("epoch %d is behind the retained snapshot window", epoch),
@@ -219,36 +219,39 @@ func (s *Service) handleCommunities(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	res, err := sn.Communities()
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
+	sn.ext.noteRead() // a read, head or ?epoch=E, as Communities records one
+	if src := c.src.Load(); src != nil {
+		src.extract() // nobody has yet: a lazy head, or a restored BaseEpoch
+	}
+	if c.err != nil {
+		writeError(w, http.StatusInternalServerError, c.err)
 		return
 	}
-	// A snapshot never changes, so neither does its body: encode it for the
+	// A cover never changes, so neither does its body: encode it for the
 	// first request and hand every later one the same bytes.
-	sn.render.Do(func() {
+	c.render.Do(func() {
 		var buf bytes.Buffer
-		json.NewEncoder(&buf).Encode(communitiesDoc(sn, res))
-		sn.body = buf.Bytes()
+		json.NewEncoder(&buf).Encode(communitiesDoc(c))
+		c.body = buf.Bytes()
 	})
 	w.Header().Set("Content-Type", "application/json")
-	w.Write(sn.body)
+	w.Write(c.body)
 }
 
-// communitiesDoc is the GET /communities document of sn, whose
-// extraction result is res. encoding/json writes map keys sorted, so its
-// encoding is a function of the snapshot alone.
-func communitiesDoc(sn *Snapshot, res *postprocess.Result) map[string]any {
+// communitiesDoc is the GET /communities document of the extracted cover
+// c. encoding/json writes map keys sorted, so its encoding is a function
+// of the epoch alone.
+func communitiesDoc(c *cover) map[string]any {
 	return map[string]any{
-		"epoch":       sn.Epoch(),
-		"vertices":    sn.NumVertices(),
-		"edges":       sn.NumEdges(),
-		"tau1":        res.Tau1,
-		"tau2":        res.Tau2,
-		"entropy":     res.Entropy,
-		"strong":      res.Strong,
-		"weak":        res.Weak,
-		"communities": res.Cover.Communities(),
+		"epoch":       c.epoch,
+		"vertices":    c.nv,
+		"edges":       c.ne,
+		"tau1":        c.res.Tau1,
+		"tau2":        c.res.Tau2,
+		"entropy":     c.res.Entropy,
+		"strong":      c.res.Strong,
+		"weak":        c.res.Weak,
+		"communities": c.res.Cover.Communities(),
 	}
 }
 

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"runtime/metrics"
 	"time"
 
 	"rslpa/internal/obs"
@@ -70,6 +71,13 @@ func newStreamMetrics(r *obs.Registry, s *Service) *streamMetrics {
 	r.GaugeFunc("rslpa_stream_start_time_seconds",
 		"Unix time the service started.",
 		func() float64 { return float64(s.start.UnixNano()) / float64(time.Second) })
+	r.GaugeFunc("rslpa_go_heap_live_bytes",
+		"Heap bytes the last GC marked live (runtime/metrics /gc/heap/live:bytes; read without stopping the world).",
+		func() float64 {
+			sample := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+			metrics.Read(sample)
+			return float64(sample[0].Value.Uint64())
+		})
 
 	r.CounterFunc("rslpa_stream_submitted_edits_total",
 		"Edits accepted by Submit.",

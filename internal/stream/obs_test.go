@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -70,6 +71,7 @@ func TestMetricsExposition(t *testing.T) {
 		t.Fatal(err)
 	}
 	drainVerified(t, s)
+	runtime.GC() // the live-heap gauge reads the last GC's mark
 	first := scrapeFamilies(t, srv.URL)
 
 	// Golden family set: catches silent drops or renames of exported
@@ -97,6 +99,9 @@ func TestMetricsExposition(t *testing.T) {
 	}
 	if v := first["rslpa_stream_epoch"].Samples["rslpa_stream_epoch"]; v != 1 {
 		t.Errorf("epoch gauge = %g, want 1", v)
+	}
+	if v := first["rslpa_go_heap_live_bytes"].Samples["rslpa_go_heap_live_bytes"]; v <= 0 {
+		t.Errorf("heap live gauge = %g after a GC, want > 0", v)
 	}
 
 	// Monotonicity across scrapes with traffic in between.

@@ -46,11 +46,10 @@ func cloneShard(det Detector, g *graph.Graph, idx int) *snapShard {
 // communities, membership — is answered from the frozen shards, so a
 // snapshot stays internally consistent no matter how far the live
 // detector advances, and readers on one snapshot share a single memoized
-// extraction and a single rendered GET /communities body.
+// extraction and a single rendered GET /communities body: its cover.
 type Snapshot struct {
-	epoch  uint64
+	*cover
 	shards []*snapShard
-	nv, ne int // vertex/edge totals, summed from the shards at publish
 	pcfg   postprocess.Config
 	last   core.UpdateStats // the batch that produced this epoch
 
@@ -67,10 +66,22 @@ type Snapshot struct {
 	ext *extraction
 
 	once   sync.Once
-	res    *postprocess.Result
-	member map[uint32][]int
-	err    error
+	member map[uint32][]int // off the cover: only a snapshot answers /vertex/{v}
 	work   extractWork
+}
+
+// cover is what GET /communities serves of one epoch. The evolution
+// window retains covers, not snapshots, so a snapshot is garbage once it
+// stops being the head and no in-flight reader holds it. src points back
+// to the snapshot until its extraction fills res: every epoch the window
+// appends was extracted first, except a restored BaseEpoch, which stays
+// lazy and extracts through src on its first read.
+type cover struct {
+	epoch  uint64
+	nv, ne int // vertex/edge totals, summed from the shards at publish
+	src    atomic.Pointer[Snapshot]
+	res    *postprocess.Result
+	err    error
 
 	render sync.Once
 	body   []byte // the GET /communities body, encoded by the first request
@@ -83,9 +94,9 @@ type Snapshot struct {
 // re-weighs only the edges with an endpoint in that snapshot's dirty set;
 // every other case — the first extraction, a skipped epoch, a full-clone
 // publish — rebuilds the table through the same routine with every vertex
-// dirty. A snapshot older than the anchor (a retained historical epoch
-// read late) weighs its edges in its scratch's private table and leaves
-// the shared one alone.
+// dirty. A snapshot older than the anchor (one a reader held, or a
+// restored BaseEpoch read late) weighs its edges in its scratch's private
+// table and leaves the shared one alone.
 //
 // demand is how the maintenance goroutine knows whether anyone reads: a
 // reader's Communities or Membership sets it, and each publish consumes
@@ -179,7 +190,7 @@ func (x *extraction) weigh(sn *Snapshot, sc *postprocess.ExtractScratch) ([]post
 func newSnapshot(epoch uint64, det Detector, pcfg postprocess.Config, last core.UpdateStats) *Snapshot {
 	g := det.Graph()
 	sn := &Snapshot{
-		epoch:  epoch,
+		cover:  &cover{epoch: epoch},
 		shards: make([]*snapShard, graph.NumShards(g.MaxVertexID())),
 		pcfg:   pcfg,
 		last:   last,
@@ -202,7 +213,7 @@ func newSnapshot(epoch uint64, det Detector, pcfg postprocess.Config, last core.
 func nextSnapshot(prev *Snapshot, det Detector, dirty []uint32, last core.UpdateStats) *Snapshot {
 	g := det.Graph()
 	sn := &Snapshot{
-		epoch:  prev.epoch + 1,
+		cover:  &cover{epoch: prev.epoch + 1},
 		shards: make([]*snapShard, graph.NumShards(g.MaxVertexID())),
 		pcfg:   prev.pcfg,
 		last:   last,
@@ -237,6 +248,7 @@ func (sn *Snapshot) total() {
 		half += sh.adj.HalfEdges
 	}
 	sn.ne = half / 2
+	sn.src.Store(sn) // until extract fills the cover
 }
 
 // shardFor returns the shard covering v, or nil when v is beyond the
@@ -375,5 +387,6 @@ func (sn *Snapshot) extract() {
 		if sn.err == nil {
 			sn.member = sn.res.Cover.Membership()
 		}
+		sn.src.Store(nil) // the cover stops keeping sn alive
 	})
 }

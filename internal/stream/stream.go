@@ -152,9 +152,9 @@ type Options struct {
 	// against the previous epoch's (stable Jaccard matching with
 	// deterministic tie-breaks and content-derived lineage IDs), retains
 	// the last EvolutionDepth epochs of classified transition events and
-	// historical snapshots, and serves them as GET /events,
-	// GET /community/{id}/history and GET /communities?epoch=E. Zero
-	// disables the tier (the evolution routes answer 404).
+	// covers (communities and rendered body, not snapshots), and serves them
+	// as GET /events, GET /community/{id}/history and GET /communities?epoch=E.
+	// Zero disables the tier (the evolution routes answer 404).
 	EvolutionDepth int
 	// EvolutionState, when non-nil, resumes the evolution tracker from a
 	// serialized baseline (GET /evolution/state) captured at exactly
@@ -988,42 +988,43 @@ func (s *Service) batchTrace(next *Snapshot, flushStart time.Time, edits int,
 	}
 }
 
-// writeCheckpoint saves the detector to CheckpointPath atomically AND
-// durably: the state is written to a temporary file in the same directory
-// (so the rename never crosses filesystems), fsynced, renamed over the
-// target, and the directory is fsynced so the rename itself survives a
-// crash. Without the first fsync a power loss after the rename can publish
-// a truncated checkpoint — the rename only orders against the data if the
-// data reached the disk first; without the second the old directory entry
-// may come back, which is merely stale, never corrupt.
-func (s *Service) writeCheckpoint() error {
-	dir, base := filepath.Split(s.opts.CheckpointPath)
+// writeFileAtomic writes path atomically AND durably: write fills a
+// <base>.tmp* file in the same directory (so the rename never crosses
+// filesystems), which is fsynced, renamed over path, and the directory is
+// fsynced so the rename itself survives a crash. Without the first fsync
+// a power loss after the rename can publish a truncated file — the rename
+// only orders against the data if the data reached the disk first;
+// without the second the old directory entry may come back, which is
+// merely stale, never corrupt.
+func writeFileAtomic(path string, write func(io.Writer) error) error {
+	dir, base := filepath.Split(path)
 	if dir == "" {
 		dir = "."
 	}
 	tmp, err := os.CreateTemp(dir, base+".tmp*")
 	if err != nil {
-		return s.checkpointErr(err)
+		return err
 	}
-	if err := s.det.Save(tmp); err != nil {
-		tmp.Close()
+	err = write(tmp)
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
 		os.Remove(tmp.Name())
-		return s.checkpointErr(err)
+		return err
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return s.checkpointErr(err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return s.checkpointErr(err)
-	}
-	if err := os.Rename(tmp.Name(), s.opts.CheckpointPath); err != nil {
-		os.Remove(tmp.Name())
-		return s.checkpointErr(err)
-	}
-	if err := syncDir(dir); err != nil {
+	return syncDir(dir)
+}
+
+// writeCheckpoint saves the detector to CheckpointPath (writeFileAtomic).
+func (s *Service) writeCheckpoint() error {
+	if err := writeFileAtomic(s.opts.CheckpointPath, s.det.Save); err != nil {
 		return s.checkpointErr(err)
 	}
 	// Persist the evolution baseline beside the detector checkpoint (same

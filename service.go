@@ -46,9 +46,9 @@ type ServiceOptions struct {
 	// diffed against the previous one (stable Jaccard matching), the
 	// changes are classified (birth, death, merge, split, grow, shrink,
 	// continue) under stable lineage IDs, and the last EvolutionDepth
-	// epochs of events are served over the HTTP handler as GET /events,
-	// GET /community/{id}/history and GET /communities?epoch=E. Zero
-	// disables evolution tracking.
+	// epochs of events and covers (communities, not snapshots) are served
+	// over the HTTP handler as GET /events, GET /community/{id}/history and
+	// GET /communities?epoch=E. Zero disables evolution tracking.
 	EvolutionDepth int
 	// Logger, when non-nil, receives structured operational events
 	// (startup, flush and checkpoint failures, shutdown). Nil discards.

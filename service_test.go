@@ -1007,8 +1007,9 @@ func TestFollowerEventsMatchWriter(t *testing.T) {
 		t.Fatal("no evolution events emitted over the run")
 	}
 
-	// Every epoch's /communities body — rendered once per snapshot on each
-	// tier — is the same bytes on writer and follower.
+	// Every epoch's /communities body — rendered once per epoch on each
+	// tier, and for the follower's bootstrap epoch extracted by this read —
+	// is the same bytes on writer and follower.
 	for e := uint64(0); e <= head; e++ {
 		path := fmt.Sprintf("/communities?epoch=%d", e)
 		wb, wcode := fetchBody(t, writer.URL+path)
