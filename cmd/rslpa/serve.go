@@ -44,6 +44,9 @@ import (
 // serve the read endpoints (no POST /edits) from local snapshots.
 func runServe(args []string) {
 	fs := flag.NewFlagSet("rslpa serve", flag.ExitOnError)
+	// The -flush default stays a fixed interval, not group commit (0):
+	// serve journals by default, and the feed's in-memory checkpoint is
+	// re-encoded every -checkpoint-every batches, however small.
 	var (
 		graphPath = fs.String("graph", "", "edge list to detect on at startup (omit to start from an empty graph)")
 		addr      = fs.String("addr", ":7463", "HTTP listen address")
@@ -52,7 +55,7 @@ func runServe(args []string) {
 		workers   = fs.Int("workers", 0, "BSP workers (0 = sequential)")
 		tcp       = fs.Bool("tcp", false, "use loopback TCP transport between workers")
 		batch     = fs.Int("batch", 512, "max net edits per update batch")
-		flush     = fs.Duration("flush", 100*time.Millisecond, "max delay before a partial batch is applied")
+		flush     = fs.Duration("flush", 100*time.Millisecond, "max delay before a partial batch is applied (0 = group commit: a batch closes when the previous one is applied)")
 		queue     = fs.Int("queue", 4096, "ingest queue capacity (edits); full queue blocks producers")
 		ckpt      = fs.String("checkpoint", "", "checkpoint file; loaded at startup when present, rewritten while serving")
 		ckptEvery = fs.Int("checkpoint-every", 16, "batches between checkpoints")

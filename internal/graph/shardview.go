@@ -48,7 +48,10 @@ type AdjShard struct {
 // lists are copied verbatim (preserving adjacency order, which keeps
 // shard-view edge iteration bit-compatible with the graph's own), and
 // the per-shard vertex/half-edge tallies are computed so a snapshot can
-// total its counts in O(#shards).
+// total its counts in O(#shards). The tally pass sizes one backing array
+// for every neighbor list of the shard; each list is a window into it
+// with cap == len, so the clone costs a constant number of allocations
+// however many vertices the shard holds.
 func (g *Graph) CloneShard(idx int) *AdjShard {
 	base := idx * ShardSize
 	sh := &AdjShard{Base: VertexID(base)}
@@ -62,13 +65,17 @@ func (g *Graph) CloneShard(idx int) *AdjShard {
 	sh.Exists = append([]bool(nil), g.exists[base:hi]...)
 	sh.Adj = make([][]VertexID, hi-base)
 	for v := base; v < hi; v++ {
-		if !g.exists[v] {
-			continue
+		if g.exists[v] {
+			sh.Present++
+			sh.HalfEdges += len(g.adj[v])
 		}
-		sh.Present++
-		sh.HalfEdges += len(g.adj[v])
-		if len(g.adj[v]) > 0 {
-			sh.Adj[v-base] = append([]VertexID(nil), g.adj[v]...)
+	}
+	slab := make([]VertexID, sh.HalfEdges)
+	for v := base; v < hi; v++ {
+		if n := len(g.adj[v]); n > 0 && g.exists[v] {
+			copy(slab, g.adj[v])
+			sh.Adj[v-base] = slab[:n:n]
+			slab = slab[n:]
 		}
 	}
 	return sh

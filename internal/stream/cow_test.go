@@ -3,6 +3,7 @@ package stream
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -382,4 +383,70 @@ func TestCOWPublicationLargeGraph(t *testing.T) {
 			t.Fatalf("vertex %d: degree %d vs %d", v, sn.Degree(v), full.Degree(v))
 		}
 	}
+}
+
+// Every row a snapshot serves is a window into its shard's one backing
+// array with cap == len, so a caller's append to one row reallocates
+// instead of running into the next row — on a full clone and on a
+// copy-on-write successor alike.
+func TestSnapshotRowsAreFullSliceWindows(t *testing.T) {
+	const n = graph.ShardSize + 100
+	st := ringState(t, n, 3)
+	det := seqDet{st}
+	sn0 := newSnapshot(0, det, postprocess.Config{}, core.UpdateStats{})
+	stats := st.Update(graph.Canonicalize(st.Graph(), []graph.Edit{{Op: graph.Insert, U: 5, V: n - 5}}))
+	sn1 := nextSnapshot(sn0, det, stats.Dirty, stats)
+	if sn1.ShardsRepublished() != 2 {
+		t.Fatalf("cross-shard insert republished %d shards, want 2", sn1.ShardsRepublished())
+	}
+	for _, sn := range []*Snapshot{sn0, sn1} {
+		for _, rows := range []struct {
+			name string
+			row  func(uint32) []uint32
+		}{{"Labels", sn.Labels}, {"Neighbors", sn.Neighbors}} {
+			for v := uint32(0); v+1 < n; v++ {
+				r := rows.row(v)
+				if len(r) == 0 || cap(r) != len(r) {
+					t.Fatalf("epoch %d %s(%d): len %d cap %d, want a non-empty row with cap == len",
+						sn.Epoch(), rows.name, v, len(r), cap(r))
+				}
+				next := slices.Clone(rows.row(v + 1))
+				_ = append(r, 1<<31)
+				if !slices.Equal(rows.row(v+1), next) {
+					t.Fatalf("epoch %d: appending to %s(%d) changed %s(%d)", sn.Epoch(), rows.name, v, rows.name, v+1)
+				}
+			}
+		}
+	}
+}
+
+// Publishing a shard costs a constant number of allocations, not one per
+// vertex: a fully dirty copy-on-write publish over 5 shards and ≈ 20 000
+// vertices stays within a small budget per shard republished.
+func TestSnapshotPublishAllocsPerShard(t *testing.T) {
+	const n = 5*graph.ShardSize - 100
+	st := ringState(t, n, 3)
+	det := seqDet{st}
+	prev := newSnapshot(0, det, postprocess.Config{}, core.UpdateStats{})
+	dirty := make([]uint32, n)
+	for v := range dirty {
+		dirty[v] = uint32(v)
+	}
+	var republished int
+	allocs := testing.AllocsPerRun(5, func() {
+		republished = nextSnapshot(prev, det, dirty, core.UpdateStats{}).ShardsRepublished()
+	})
+	if republished != prev.NumShards() || republished != 5 {
+		t.Fatalf("fully dirty publish republished %d of %d shards, want 5", republished, prev.NumShards())
+	}
+	// Per shard: the adjacency's header, presence flags, row spine and
+	// neighbor slab, and the snapshot shard's header, label spine and label
+	// slab (7). Per snapshot: its header, cover, shard spine and reclone
+	// flags (4). The budget leaves one of slack each.
+	const perShard, perSnapshot = 8, 5
+	if budget := float64(perShard*republished + perSnapshot); allocs > budget {
+		t.Fatalf("fully dirty publish: %.0f allocs for %d shards of %d vertices, budget %.0f",
+			allocs, republished, n, budget)
+	}
+	t.Logf("fully dirty publish: %.0f allocs for %d shards of %d vertices", allocs, republished, n)
 }

@@ -452,23 +452,6 @@ func TestEvictedSnapshotIsCollected(t *testing.T) {
 	}
 }
 
-// gateDet blocks its first Update until released, holding the maintenance
-// goroutine inside a flush.
-type gateDet struct {
-	seqDet
-	entered chan struct{}
-	release chan struct{}
-	once    *sync.Once
-}
-
-func (d gateDet) Update(b []graph.Edit) (core.UpdateStats, error) {
-	d.once.Do(func() {
-		close(d.entered)
-		<-d.release
-	})
-	return d.seqDet.Update(b)
-}
-
 // A flush that outlasts FlushInterval returns to a pending tick and a
 // filled queue at once. The tick's flush must take the queue with it: one
 // batch carrying every queued edit, however select orders the two. (A
@@ -482,11 +465,7 @@ func TestTickFlushDrainsQueue(t *testing.T) {
 }
 
 func tickFlushRound(t *testing.T) {
-	st, err := core.Run(testGraph(), core.Config{T: 20, Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	det := gateDet{seqDet: seqDet{st}, entered: make(chan struct{}), release: make(chan struct{}), once: new(sync.Once)}
+	det := newBatchLog(t, true)
 	const interval = 10 * time.Millisecond
 	s, err := New(det, Options{MaxBatch: 1 << 20, FlushInterval: interval})
 	if err != nil {

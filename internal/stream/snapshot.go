@@ -23,13 +23,25 @@ type snapShard struct {
 
 // cloneShard freezes snapshot shard idx of det's current state: the
 // adjacency via graph.CloneShard and a private copy of every present
-// vertex's label sequence.
+// vertex's label sequence. Like the adjacency, the label rows share one
+// backing array sized by a counting pass, each row a cap == len window.
 func cloneShard(det Detector, g *graph.Graph, idx int) *snapShard {
 	a := g.CloneShard(idx)
 	sh := &snapShard{adj: a, labels: make([][]uint32, len(a.Exists))}
+	total := 0
 	for off, ok := range a.Exists {
 		if ok {
-			sh.labels[off] = append([]uint32(nil), det.Labels(a.Base+uint32(off))...)
+			total += len(det.Labels(a.Base + uint32(off)))
+		}
+	}
+	slab := make([]uint32, total)
+	for off, ok := range a.Exists {
+		if !ok {
+			continue
+		}
+		if n := copy(slab, det.Labels(a.Base+uint32(off))); n > 0 {
+			sh.labels[off] = slab[:n:n]
+			slab = slab[n:]
 		}
 	}
 	return sh
@@ -220,19 +232,21 @@ func nextSnapshot(prev *Snapshot, det Detector, dirty []uint32, last core.Update
 		ext:    prev.ext,
 	}
 	copy(sn.shards, prev.shards) // ID space never shrinks
-	reclone := make(map[int]struct{})
+	reclone := make([]bool, len(sn.shards))
 	for _, v := range dirty {
-		reclone[graph.ShardOf(v)] = struct{}{}
+		reclone[graph.ShardOf(v)] = true
 	}
 	// Shards beyond prev's coverage are new; their vertices are dirty by
 	// construction (they were just created), but be explicit.
 	for i := len(prev.shards); i < len(sn.shards); i++ {
-		reclone[i] = struct{}{}
+		reclone[i] = true
 	}
-	for i := range reclone {
-		sn.shards[i] = cloneShard(det, g, i)
+	for i, ok := range reclone {
+		if ok {
+			sn.shards[i] = cloneShard(det, g, i)
+			sn.republished++
+		}
 	}
-	sn.republished = len(reclone)
 	sn.total()
 	return sn
 }

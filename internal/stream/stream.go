@@ -12,8 +12,11 @@
 //   - A single maintenance goroutine drains the queue, coalesces edits
 //     into canonical batches (graph.Coalescer: orient, dedupe, cancel
 //     insert+delete pairs) and applies them through the detector's
-//     incremental Update when the pending batch reaches Options.MaxBatch
-//     net edits or Options.FlushInterval elapses. Because only this
+//     incremental Update. By default (Options.FlushInterval 0, group
+//     commit) a batch closes as soon as the previous one is applied and
+//     takes everything that queued meanwhile, up to Options.MaxBatch net
+//     edits; with a positive FlushInterval it closes at MaxBatch or on a
+//     ticker of that period. Because only this
 //     goroutine ever touches the detector, any single-goroutine Detector
 //     implementation works unchanged — sequential, in-process parallel,
 //     or distributed.
@@ -120,8 +123,18 @@ type Options struct {
 	// MaxBatch flushes the pending batch once it holds this many net
 	// edits. Default 512.
 	MaxBatch int
-	// FlushInterval flushes partial batches at least this often.
-	// Default 100ms.
+	// FlushInterval selects when a partial batch closes. Zero (the
+	// default; negative values mean zero) is group commit: a batch closes
+	// as soon as the previous one has been applied, carrying every edit
+	// that queued meanwhile (up to MaxBatch), so an edit waits for at most
+	// one batch in flight instead of a timer. A positive interval flushes
+	// partial batches on a fixed ticker of that period instead; a long one
+	// (time.Hour) means "only on MaxBatch or Drain".
+	//
+	// CheckpointEvery counts batches, and group commit runs many more of
+	// them under load, so a service with CheckpointPath or JournalDepth
+	// set re-encodes its checkpoint correspondingly more often; such a
+	// service should set an interval.
 	FlushInterval time.Duration
 	// Extraction configures snapshot community extraction (thresholds,
 	// metric); the zero value selects them automatically.
@@ -131,7 +144,8 @@ type Options struct {
 	// rename — every CheckpointEvery batches and once more on Close.
 	CheckpointPath string
 	// CheckpointEvery is the number of applied batches between
-	// checkpoints. Default 16 (when CheckpointPath is set).
+	// checkpoints — on disk (CheckpointPath) and in memory (JournalDepth).
+	// It counts batches, not edits or time; see FlushInterval. Default 16.
 	CheckpointEvery int
 	// BaseEpoch is the epoch of the initial snapshot (default 0). A caller
 	// whose detector resumed from a checkpoint passes the detector's own
@@ -184,8 +198,8 @@ func (o Options) withDefaults() Options {
 	if o.MaxBatch <= 0 {
 		o.MaxBatch = 512
 	}
-	if o.FlushInterval <= 0 {
-		o.FlushInterval = 100 * time.Millisecond
+	if o.FlushInterval < 0 {
+		o.FlushInterval = 0
 	}
 	if o.CheckpointEvery <= 0 {
 		o.CheckpointEvery = 16
@@ -216,10 +230,10 @@ type Stats struct {
 	Checkpoints    uint64 `json:"checkpoints"`     // checkpoint files written
 	Queries        uint64 `json:"queries"`         // Snapshot loads
 	// FlushErrors counts flushes that failed (detector update or checkpoint
-	// write) — including the ones on the ticker and MaxBatch paths, which
-	// have no caller to return an error to. A nonzero count with a healthy
-	// LastError means an earlier transient checkpoint failure; a growing
-	// count means flushes keep failing.
+	// write) — including the ones on the group-commit, ticker and MaxBatch
+	// paths, which have no caller to return an error to. A nonzero count
+	// with a healthy LastError means an earlier transient checkpoint
+	// failure; a growing count means flushes keep failing.
 	FlushErrors uint64 `json:"flush_errors"`
 
 	LastBatchEdits    int   `json:"last_batch_edits"`
@@ -643,17 +657,29 @@ func (s *Service) Close() error {
 func (s *Service) loop() {
 	defer close(s.done)
 	co := graph.NewCoalescer(s.det.Graph())
-	tick := time.NewTicker(s.opts.FlushInterval)
-	defer tick.Stop()
+	// Group commit (FlushInterval 0) leaves tick nil, so its case never
+	// fires.
+	var tick <-chan time.Time
+	if s.opts.FlushInterval > 0 {
+		t := time.NewTicker(s.opts.FlushInterval)
+		defer t.Stop()
+		tick = t.C
+	}
 	sinceCkpt := 0
 	for {
 		select {
 		case e := <-s.in:
 			s.ingest(co, e)
-			if co.Len() >= s.opts.MaxBatch {
+			if tick == nil {
+				// Group commit: this edit and everything queued behind it
+				// close a batch now; whatever queues during its flush
+				// becomes the next one.
+				s.drainQueue(co, &sinceCkpt)
+				s.flush(co, &sinceCkpt)
+			} else if co.Len() >= s.opts.MaxBatch {
 				s.flush(co, &sinceCkpt)
 			}
-		case <-tick.C:
+		case <-tick:
 			// A flush that outlasted FlushInterval leaves a tick pending
 			// beside whatever queued up meanwhile, and select picks between
 			// ready cases at random: take the queue first, so the tick's

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -117,6 +118,122 @@ func TestServiceFlushIntervalTriggersFlush(t *testing.T) {
 			t.Fatal("interval flush never happened")
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// batchLog records the size of every batch its detector applies. With a
+// non-nil release, the first Update closes entered and then waits for
+// release, holding the maintenance goroutine inside a flush.
+type batchLog struct {
+	seqDet
+	entered, release chan struct{}
+
+	mu    sync.Mutex
+	sizes []int
+}
+
+func (d *batchLog) Update(b []graph.Edit) (core.UpdateStats, error) {
+	d.mu.Lock()
+	d.sizes = append(d.sizes, len(b))
+	first := len(d.sizes) == 1
+	d.mu.Unlock()
+	if first && d.release != nil {
+		close(d.entered)
+		<-d.release
+	}
+	return d.seqDet.Update(b)
+}
+
+func (d *batchLog) batches() []int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return append([]int(nil), d.sizes...)
+}
+
+func newBatchLog(t *testing.T, gated bool) *batchLog {
+	t.Helper()
+	st, err := core.Run(testGraph(), core.Config{T: 20, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := &batchLog{seqDet: seqDet{st}}
+	if gated {
+		d.entered, d.release = make(chan struct{}), make(chan struct{})
+	}
+	return d
+}
+
+// Group commit (FlushInterval 0, or negative) needs neither a ticker nor a
+// Drain: the edits that queue while a flush runs come out as the very next
+// batches, back to back, each at most MaxBatch and none empty.
+func TestGroupCommitBatchesBackToBack(t *testing.T) {
+	for _, interval := range []time.Duration{0, -time.Second} {
+		det := newBatchLog(t, true)
+		const maxBatch, queued = 16, 3*16 + 5
+		s, err := New(det, Options{MaxBatch: maxBatch, FlushInterval: interval})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.opts.FlushInterval != 0 {
+			t.Fatalf("FlushInterval %v normalised to %v, want 0", interval, s.opts.FlushInterval)
+		}
+		if err := s.Submit(graph.Edit{Op: graph.Insert, U: 0, V: 4}); err != nil {
+			t.Fatal(err)
+		}
+		<-det.entered // the first edit closed a batch on its own; its flush is held
+		for i := uint32(0); i < queued; i++ {
+			if err := s.Submit(graph.Edit{Op: graph.Insert, U: 1, V: 100 + i}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		close(det.release)
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			st := s.Stats()
+			if st.AppliedEdits+st.CoalescedEdits == st.SubmittedEdits && st.SubmittedEdits == 1+queued {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("interval %v: queued edits never applied without a Drain: %+v", interval, st)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		// Everything queued behind the held flush is drained in one go:
+		// full batches, then the remainder.
+		want := []int{1, maxBatch, maxBatch, maxBatch, queued % maxBatch}
+		if got := det.batches(); !slices.Equal(got, want) {
+			t.Fatalf("interval %v: batch sizes %v, want %v", interval, got, want)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// The twin with a fixed interval: a partial batch waits for its tick (an
+// hour away), so nothing is applied until Drain.
+func TestFixedIntervalWaitsForDrain(t *testing.T) {
+	det := newBatchLog(t, false)
+	const maxBatch = 16
+	s, err := New(det, Options{MaxBatch: maxBatch, FlushInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for i := uint32(0); i < maxBatch-1; i++ {
+		if err := s.Submit(graph.Edit{Op: graph.Insert, U: 1, V: 100 + i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	time.Sleep(50 * time.Millisecond)
+	if got := det.batches(); len(got) != 0 {
+		t.Fatalf("batches %v applied before Drain on an hourly interval", got)
+	}
+	if err := s.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if got := det.batches(); !slices.Equal(got, []int{maxBatch - 1}) {
+		t.Fatalf("batch sizes %v after Drain, want [%d]", got, maxBatch-1)
 	}
 }
 

@@ -24,14 +24,22 @@ type ServiceOptions struct {
 	// MaxBatch flushes the pending batch at this many net edits.
 	// Default 512.
 	MaxBatch int
-	// FlushInterval flushes partial batches at least this often.
-	// Default 100ms.
+	// FlushInterval selects when a partial batch closes. Zero (the
+	// default; negative values mean zero) is group commit: a batch closes
+	// as soon as the previous one has been applied, carrying every edit
+	// that queued meanwhile (up to MaxBatch). A positive interval flushes
+	// partial batches on a fixed ticker of that period instead. Because
+	// CheckpointEvery counts batches, a service with CheckpointPath or
+	// JournalDepth set should use an interval: group commit would
+	// re-encode its checkpoint once per CheckpointEvery of its many more,
+	// smaller batches.
 	FlushInterval time.Duration
 	// CheckpointPath, when set, checkpoints the detector to this file
 	// (atomic tmp+rename) every CheckpointEvery batches and on Close; a
 	// restarted process resumes via LoadDetector + NewService.
 	CheckpointPath string
-	// CheckpointEvery is the number of batches between checkpoints.
+	// CheckpointEvery is the number of batches (not edits, not seconds)
+	// between checkpoints, on disk and in the feed's in-memory copy.
 	// Default 16.
 	CheckpointEvery int
 	// JournalDepth, when positive, retains the last JournalDepth applied
