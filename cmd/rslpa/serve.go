@@ -45,8 +45,8 @@ import (
 func runServe(args []string) {
 	fs := flag.NewFlagSet("rslpa serve", flag.ExitOnError)
 	// The -flush default stays a fixed interval, not group commit (0):
-	// serve journals by default, and the feed's in-memory checkpoint is
-	// re-encoded every -checkpoint-every batches, however small.
+	// -checkpoint rewrites its file every -checkpoint-every batches,
+	// however small, and group commit would run many more of them.
 	var (
 		graphPath = fs.String("graph", "", "edge list to detect on at startup (omit to start from an empty graph)")
 		addr      = fs.String("addr", ":7463", "HTTP listen address")
@@ -58,7 +58,7 @@ func runServe(args []string) {
 		flush     = fs.Duration("flush", 100*time.Millisecond, "max delay before a partial batch is applied (0 = group commit: a batch closes when the previous one is applied)")
 		queue     = fs.Int("queue", 4096, "ingest queue capacity (edits); full queue blocks producers")
 		ckpt      = fs.String("checkpoint", "", "checkpoint file; loaded at startup when present, rewritten while serving")
-		ckptEvery = fs.Int("checkpoint-every", 16, "batches between checkpoints")
+		ckptEvery = fs.Int("checkpoint-every", 16, "batches between on-disk checkpoints")
 		journal   = fs.Int("journal", 1024, "batches retained for the follower feed (0 disables /feed and /checkpoint)")
 		evoDepth  = fs.Int("evolution-depth", 0, "epochs of community evolution events retained (0 disables /events and /community/{id}/history)")
 		follow    = fs.String("follow", "", "run as a read-only follower of this writer base URL")

@@ -36,12 +36,12 @@ func BenchmarkReplicaServe(b *testing.B) {
 	}
 	maxID := uint32(res.Graph.MaxVertexID())
 
-	// CheckpointEvery 64 keeps the in-memory checkpoint deliberately stale
-	// relative to the journal head, so the follower's bootstrap has a real
-	// feed backlog to replay — that backlog is what catchup-ms measures.
+	// The writer encodes its checkpoint at the head on request, so
+	// catchup-ms is that encode plus the follower's decode and build; the
+	// feed backlog is whatever the writer published meanwhile.
 	w := newWriter(b, st, stream.Options{
 		MaxBatch: 1 << 20, FlushInterval: time.Hour,
-		JournalDepth: 1 << 14, CheckpointEvery: 64,
+		JournalDepth: 1 << 14,
 	})
 	srv := newBenchServer(b, w)
 	evolving := res.Graph.Clone()

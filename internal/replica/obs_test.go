@@ -44,7 +44,7 @@ func TestFollowerMetricsAcrossRebootstrap(t *testing.T) {
 	g, st := testFixture(t)
 	w := newWriter(t, st, stream.Options{
 		MaxBatch: 1 << 20, FlushInterval: time.Hour,
-		JournalDepth: 2, CheckpointEvery: 2,
+		JournalDepth: 2,
 	})
 	inner := w.Handler()
 	var blockFeed atomic.Bool

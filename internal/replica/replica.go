@@ -211,11 +211,12 @@ func New(opts Options) (*Follower, error) {
 	return f, nil
 }
 
-// bootstrap fetches the writer's checkpoint (and, with EvolutionDepth
-// set, its evolution state) and builds a fresh replay generation at its
-// epoch. The two GETs are not atomic on the writer — a checkpoint refresh
-// can land between them — so epoch-mismatch attempts are retried a few
-// times before giving up.
+// bootstrap fetches the writer's checkpoint, which the writer encodes at
+// its head on request (and, with EvolutionDepth set, its evolution state,
+// captured with that checkpoint), and builds a fresh replay generation at
+// its epoch. The two GETs are not atomic on the writer — another
+// follower's checkpoint request can capture a newer epoch between them —
+// so epoch-mismatch attempts are retried a few times before giving up.
 func (f *Follower) bootstrap() (*replayState, error) {
 	const attempts = 3
 	var err error
@@ -229,15 +230,15 @@ func (f *Follower) bootstrap() (*replayState, error) {
 		if !retry {
 			return nil, err
 		}
-		f.log.Warn("replica: bootstrap raced a checkpoint refresh, retrying", "error", err)
+		f.log.Warn("replica: bootstrap raced another checkpoint capture, retrying", "error", err)
 	}
 	return nil, fmt.Errorf("after %d attempts: %w", attempts, err)
 }
 
 // bootstrapOnce performs one bootstrap attempt. retry reports that the
 // failure is a benign race between the checkpoint and evolution-state
-// fetches (the writer refreshed in between) and the caller should try
-// again.
+// fetches (the writer captured a newer epoch in between) and the caller
+// should try again.
 func (f *Follower) bootstrapOnce() (rs *replayState, retry bool, err error) {
 	resp, err := f.opts.Client.Get(f.opts.WriterURL + "/checkpoint")
 	if err != nil {
@@ -299,7 +300,7 @@ func (f *Follower) bootstrapOnce() (rs *replayState, retry bool, err error) {
 // writer may not track evolution, or may not journal — and the local
 // tracker rebases fresh (lineage IDs then diverge from the writer's;
 // events and windows still work). retry reports an epoch mismatch with
-// the checkpoint just fetched: a refresh raced between the two GETs.
+// the checkpoint just fetched: a capture raced between the two GETs.
 func (f *Follower) fetchEvolutionState(ckptEpoch uint64) (state []byte, retry bool, err error) {
 	resp, err := f.opts.Client.Get(f.opts.WriterURL + "/evolution/state")
 	if err != nil {

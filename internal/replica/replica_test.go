@@ -258,7 +258,7 @@ func TestFollowerRebootstrapsBehindHorizon(t *testing.T) {
 	maxID := uint32(g.MaxVertexID())
 	w := newWriter(t, st, stream.Options{
 		MaxBatch: 1 << 20, FlushInterval: time.Hour,
-		JournalDepth: 2, CheckpointEvery: 2,
+		JournalDepth: 2,
 	})
 	inner := w.Handler()
 

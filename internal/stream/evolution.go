@@ -12,9 +12,9 @@ package stream
 //	GET /community/{id}/history    one lineage's retained life-cycle
 //	GET /communities?epoch=E       a retained past epoch's cover
 //	GET /evolution/state           the serialized matcher baseline at the
-//	                               in-memory checkpoint's epoch, so a
-//	                               follower bootstraps with the writer's
-//	                               exact lineage assignments
+//	                               epoch of the last GET /checkpoint
+//	                               capture, so a follower bootstraps with
+//	                               the writer's exact lineage assignments
 //
 // The diff runs synchronously on the maintenance goroutine right after
 // the snapshot swap: epochs stay contiguous (the tracker refuses gaps),
@@ -26,6 +26,7 @@ package stream
 // emit a byte-identical /events stream without any event replication.
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
@@ -132,7 +133,7 @@ func (s *Service) initEvolution(sn0 *Snapshot) error {
 
 // advanceEvolution diffs the freshly published snapshot against the
 // tracker baseline. Called only by the maintenance goroutine, right after
-// the snapshot swap and before the journal/checkpoint capture (so the
+// the snapshot swap and before the checkpoint file is written (so the
 // serialized evolution state is always at the checkpoint's epoch). A
 // failure latches the tier — detection keeps running, /events turns 503.
 func (s *Service) advanceEvolution(next *Snapshot) time.Duration {
@@ -294,29 +295,35 @@ func (e *evoTier) coverAt(epoch uint64) (c *cover, oldest, newest uint64) {
 }
 
 // handleEvolutionState serves the serialized tracker baseline captured
-// with the in-memory checkpoint (same epoch, stamped in the
-// X-Rslpa-Epoch header), so a follower that bootstraps from
-// GET /checkpoint can adopt the writer's exact lineage assignments.
+// with the last GET /checkpoint (same epoch, stamped in the X-Rslpa-Epoch
+// header), so a follower that bootstraps from that checkpoint can adopt
+// the writer's exact lineage assignments. It captures the head itself
+// only when nothing was captured yet; a capture for another follower
+// between a follower's two GETs shows as an epoch mismatch, which the
+// follower retries.
 func (s *Service) handleEvolutionState(w http.ResponseWriter, r *http.Request) {
 	e := s.evo
 	if e == nil || s.opts.JournalDepth <= 0 {
 		writeError(w, http.StatusNotFound, errors.New("evolution state unavailable (needs EvolutionDepth and JournalDepth > 0)"))
 		return
 	}
-	if err := e.failure(); err != nil {
+	err := cmp.Or(s.closedErr(), s.failureErr(), e.failure())
+	s.jmu.RLock()
+	img := s.boot
+	s.jmu.RUnlock()
+	if err == nil && img.evo == nil {
+		img, err = s.bootstrap()
+	}
+	if err == nil && img.evo == nil {
+		err = errors.New("evolution state not captured")
+	}
+	if err != nil {
 		writeError(w, http.StatusServiceUnavailable, err)
 		return
 	}
-	s.jmu.RLock()
-	data, epoch := s.evoCkptData, s.ckptEpoch
-	s.jmu.RUnlock()
-	if data == nil {
-		writeError(w, http.StatusServiceUnavailable, errors.New("evolution state not yet captured"))
-		return
-	}
 	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set(CheckpointEpochHeader, strconv.FormatUint(epoch, 10))
-	w.Write(data)
+	w.Header().Set(CheckpointEpochHeader, strconv.FormatUint(img.epoch, 10))
+	w.Write(img.evo)
 }
 
 // writeEvolutionSidecar persists the current in-memory evolution state

@@ -217,11 +217,12 @@ func TestEvolutionMetrics(t *testing.T) {
 	}
 }
 
-// GET /evolution/state serves the tracker baseline at the in-memory
-// checkpoint's epoch; the image restores into a tracker at that epoch.
+// GET /evolution/state, asked before any GET /checkpoint, captures the
+// tracker baseline at the head; the image restores into a tracker at that
+// epoch.
 func TestEvolutionStateEndpoint(t *testing.T) {
 	s, srv, _ := newFeedService(t, Options{
-		FlushInterval: time.Hour, JournalDepth: 4, CheckpointEvery: 1, EvolutionDepth: 8,
+		FlushInterval: time.Hour, JournalDepth: 4, EvolutionDepth: 8,
 	})
 	applyBatches(t, s, 2, 10)
 
@@ -238,7 +239,7 @@ func TestEvolutionStateEndpoint(t *testing.T) {
 		t.Fatalf("epoch header: %v", err)
 	}
 	if epoch != 2 {
-		t.Fatalf("state epoch = %d, want 2 (CheckpointEvery=1)", epoch)
+		t.Fatalf("state epoch = %d, want 2 (the head)", epoch)
 	}
 	data := make([]byte, 1<<20)
 	n, _ := resp.Body.Read(data)
@@ -359,7 +360,7 @@ func TestLineageStableAcrossCheckpointRestart(t *testing.T) {
 func TestRestoredBootstrapEpochStaysLazy(t *testing.T) {
 	const depth = 4
 	w, wsrv, _ := newFeedService(t, Options{
-		FlushInterval: time.Hour, JournalDepth: 4, CheckpointEvery: 2, EvolutionDepth: depth,
+		FlushInterval: time.Hour, JournalDepth: 4, EvolutionDepth: depth,
 	})
 	wh := w.Handler()
 	applyBatches(t, w, 2, 10)

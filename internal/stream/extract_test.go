@@ -392,7 +392,7 @@ func TestExtractFallsBackToFull(t *testing.T) {
 // array.
 func TestEvictedSnapshotIsCollected(t *testing.T) {
 	const depth = 2
-	s, _ := newTestService(t, Options{FlushInterval: time.Hour, EvolutionDepth: depth, JournalDepth: depth, CheckpointEvery: depth})
+	s, _ := newTestService(t, Options{FlushInterval: time.Hour, EvolutionDepth: depth, JournalDepth: depth})
 	h := s.Handler()
 	snapsGone := make(chan uint64, 16)
 	coversGone := make(chan uint64, 16)

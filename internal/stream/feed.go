@@ -1,9 +1,11 @@
 package stream
 
 import (
+	"bytes"
 	"fmt"
 	"net/http"
 	"strconv"
+	"time"
 
 	"rslpa/internal/graph"
 )
@@ -15,16 +17,18 @@ import (
 //	                        FeedResponse; 410 Gone when E is behind the
 //	                        journal horizon (re-bootstrap from the
 //	                        checkpoint); 404 when journaling is disabled
-//	GET /checkpoint         the in-memory detector checkpoint as
-//	                        application/octet-stream, its epoch in the
-//	                        X-Rslpa-Epoch header; 404 when disabled
+//	GET /checkpoint         the detector checkpoint, encoded at the head on
+//	                        request, as application/octet-stream, its
+//	                        epoch in the X-Rslpa-Epoch header; 404 when
+//	                        disabled, 503 when closed or latched
 //
 // Both exist only when Options.JournalDepth > 0. A follower bootstraps
 // from GET /checkpoint (epoch C), then polls GET /feed?from=C applying
-// each batch in order; because JournalDepth is clamped to at least
-// CheckpointEvery and the in-memory checkpoint refreshes every
-// CheckpointEvery batches, the checkpoint's epoch always sits inside the
-// journal horizon — a fresh bootstrap never immediately 410s.
+// each batch in order. C is the head when the maintenance goroutine
+// encodes it between batches, so it sits inside the journal horizon
+// whatever JournalDepth is — a fresh bootstrap never immediately 410s.
+// Requests in one epoch share one encode, and its bytes are dropped when
+// the next epoch is published.
 
 // CheckpointEpochHeader carries the epoch of the serialized checkpoint
 // returned by GET /checkpoint.
@@ -111,16 +115,43 @@ func (s *Service) feed(from uint64, max int) (FeedResponse, feedStatus) {
 	return resp, feedOK
 }
 
-// checkpointBytes returns the in-memory checkpoint and its epoch. The
-// returned slice is immutable: refreshMemCheckpoint swaps in a fresh
-// buffer rather than rewriting the old one.
-func (s *Service) checkpointBytes() (data []byte, epoch uint64, ok bool) {
-	if s.opts.JournalDepth <= 0 {
-		return nil, 0, false
+// bootstrap returns the bootstrap image at the head, captured by the
+// maintenance goroutine between batches; ErrClosed once it has exited.
+func (s *Service) bootstrap() (img bootImage, err error) {
+	if !s.between(func() { img, err = s.captureBoot() }) {
+		return img, ErrClosed
 	}
-	s.jmu.RLock()
-	defer s.jmu.RUnlock()
-	return s.ckptData, s.ckptEpoch, true
+	return img, err
+}
+
+// captureBoot encodes the detector and the evolution baseline at the head
+// unless this epoch's image is already held. It runs on the maintenance
+// goroutine, the only writer of s.boot, so it reads s.boot without jmu. A
+// latched detector may be half-updated and is never encoded.
+func (s *Service) captureBoot() (bootImage, error) {
+	if err := s.failureErr(); err != nil {
+		return bootImage{}, err
+	}
+	epoch := s.snap.Load().Epoch()
+	if s.boot.data != nil && s.boot.epoch == epoch {
+		return s.boot, nil
+	}
+	t0 := time.Now()
+	var buf bytes.Buffer
+	if err := s.det.Save(&buf); err != nil {
+		return bootImage{}, fmt.Errorf("stream: checkpoint: %w", err)
+	}
+	img := bootImage{epoch: epoch, data: buf.Bytes()}
+	if s.evo != nil {
+		img.evo, _ = s.evo.saveState() // nil while the tier is latched
+	}
+	if s.met != nil {
+		s.met.checkpointSeconds.Observe(time.Since(t0).Seconds())
+	}
+	s.jmu.Lock()
+	s.boot = img
+	s.jmu.Unlock()
+	return img, nil
 }
 
 func (s *Service) handleFeed(w http.ResponseWriter, r *http.Request) {
@@ -154,13 +185,17 @@ func (s *Service) handleFeed(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Service) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
-	data, epoch, ok := s.checkpointBytes()
-	if !ok {
+	if s.opts.JournalDepth <= 0 {
 		writeError(w, http.StatusNotFound, fmt.Errorf("checkpoint: journaling disabled (Options.JournalDepth == 0)"))
 		return
 	}
+	img, err := s.bootstrap()
+	if err != nil {
+		writeError(w, http.StatusServiceUnavailable, err)
+		return
+	}
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set(CheckpointEpochHeader, strconv.FormatUint(epoch, 10))
-	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
-	w.Write(data)
+	w.Header().Set(CheckpointEpochHeader, strconv.FormatUint(img.epoch, 10))
+	w.Header().Set("Content-Length", strconv.Itoa(len(img.data)))
+	w.Write(img.data)
 }

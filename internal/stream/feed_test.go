@@ -7,12 +7,15 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
+	"sync"
 	"testing"
 	"time"
 
 	"rslpa/internal/core"
 	"rslpa/internal/graph"
+	"rslpa/internal/obs"
 )
 
 // newFeedService starts a journaling service over the two-triangle graph
@@ -111,9 +114,7 @@ func TestFeedServesJournaledBatches(t *testing.T) {
 }
 
 func TestFeedBehindHorizonRebootstrapsFromCheckpoint(t *testing.T) {
-	s, srv, _ := newFeedService(t, Options{
-		FlushInterval: time.Hour, JournalDepth: 2, CheckpointEvery: 2,
-	})
+	s, srv, _ := newFeedService(t, Options{FlushInterval: time.Hour, JournalDepth: 2})
 	applyBatches(t, s, 7, 10)
 
 	// Epoch 0 fell off the 2-deep journal long ago: 410 Gone, with the
@@ -126,9 +127,9 @@ func TestFeedBehindHorizonRebootstrapsFromCheckpoint(t *testing.T) {
 		t.Fatalf("410 envelope: %+v", feed)
 	}
 
-	// Re-bootstrap: the checkpoint's epoch always sits inside the journal
-	// horizon (it refreshes every CheckpointEvery ≤ JournalDepth batches),
-	// so the follower can resume the feed from it without a second 410.
+	// Re-bootstrap: the checkpoint is encoded at the head on request, so
+	// its epoch is the journal's newest and the follower resumes the feed
+	// from it without a second 410, however shallow the journal.
 	resp, err := http.Get(srv.URL + "/checkpoint")
 	if err != nil {
 		t.Fatal(err)
@@ -142,6 +143,17 @@ func TestFeedBehindHorizonRebootstrapsFromCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatalf("checkpoint epoch header: %v", err)
 	}
+	if epoch != 7 {
+		t.Fatalf("checkpoint epoch %d, want 7", epoch)
+	}
+	requireReplaysToHead(t, s, srv.URL, body, epoch)
+}
+
+// requireReplaysToHead loads a GET /checkpoint body, requires it to be at
+// epoch, replays GET /feed from there, and holds the result to the
+// writer's head labels — what a follower does to bootstrap.
+func requireReplaysToHead(t *testing.T, s *Service, url string, body []byte, epoch uint64) {
+	t.Helper()
 	ck, err := core.ReadCheckpoint(bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -153,34 +165,232 @@ func TestFeedBehindHorizonRebootstrapsFromCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if follower.Epoch() != epoch || epoch != 6 {
-		t.Fatalf("checkpoint epoch: header %d, state %d, want 6", epoch, follower.Epoch())
+	if follower.Epoch() != epoch {
+		t.Fatalf("checkpoint epoch: header %d, state %d", epoch, follower.Epoch())
 	}
-
-	if code := getJSON(t, srv.URL+"/feed?from="+strconv.FormatUint(epoch, 10), &feed); code != http.StatusOK {
-		t.Fatalf("feed from checkpoint epoch: %d", code)
+	var feed FeedResponse
+	if code := getJSON(t, url+"/feed?from="+strconv.FormatUint(epoch, 10), &feed); code != http.StatusOK {
+		t.Fatalf("feed from checkpoint epoch %d: %d", epoch, code)
 	}
 	for _, b := range feed.Batches {
-		batch := make([]graph.Edit, len(b.Edits))
-		for j, we := range b.Edits {
-			if batch[j], err = we.edit(); err != nil {
-				t.Fatal(err)
-			}
+		batch, err := b.GraphEdits()
+		if err != nil {
+			t.Fatal(err)
 		}
 		follower.Update(batch)
 	}
 	sn := s.Snapshot()
 	if follower.Epoch() != sn.Epoch() {
-		t.Fatalf("follower epoch %d, writer %d", follower.Epoch(), sn.Epoch())
+		t.Fatalf("follower from epoch %d reached %d, writer %d", epoch, follower.Epoch(), sn.Epoch())
 	}
 	follower.Graph().ForEachVertex(func(v uint32) {
 		a, b := sn.Labels(v), follower.Labels(v)
 		for i := range b {
 			if a[i] != b[i] {
-				t.Fatalf("vertex %d label %d: writer %d follower %d", v, i, a[i], b[i])
+				t.Fatalf("from epoch %d: vertex %d label %d: writer %d follower %d", epoch, v, i, a[i], b[i])
 			}
 		}
 	})
+}
+
+// countingDet counts Save calls by the detector epoch they encode.
+type countingDet struct {
+	seqDet
+	mu    sync.Mutex
+	saves map[uint64]int
+}
+
+func (d *countingDet) Save(w io.Writer) error {
+	d.mu.Lock()
+	d.saves[d.st.Epoch()]++
+	d.mu.Unlock()
+	return d.seqDet.Save(w)
+}
+
+func newCountingService(t *testing.T, opts Options) (*Service, *countingDet) {
+	t.Helper()
+	st, err := core.Run(testGraph(), core.Config{T: 20, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	det := &countingDet{seqDet: seqDet{st}, saves: map[uint64]int{}}
+	s, err := New(det, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	return s, det
+}
+
+// A bootstrap storm costs one encode per epoch: concurrent GET
+// /checkpoint requests while batches publish share the head's encode, the
+// bodies of one epoch are byte-identical, and every body bootstraps a
+// follower that replays the feed to the writer's labels.
+func TestCheckpointStormEncodesOncePerEpoch(t *testing.T) {
+	s, det := newCountingService(t, Options{FlushInterval: time.Hour, JournalDepth: 64, EvolutionDepth: 4})
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+
+	const requesters = 8
+	var mu sync.Mutex
+	served := map[uint64][]byte{}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for range requesters {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				resp, err := http.Get(srv.URL + "/checkpoint")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				body, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != http.StatusOK {
+					t.Errorf("GET /checkpoint: %d %v", resp.StatusCode, err)
+					return
+				}
+				epoch, err := strconv.ParseUint(resp.Header.Get(CheckpointEpochHeader), 10, 64)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				mu.Lock()
+				if prev, ok := served[epoch]; ok && !bytes.Equal(prev, body) {
+					t.Errorf("epoch %d served two different bodies", epoch)
+				}
+				served[epoch] = body
+				mu.Unlock()
+			}
+		}()
+	}
+	applyBatches(t, s, 20, 10)
+	close(stop)
+	wg.Wait()
+
+	det.mu.Lock()
+	defer det.mu.Unlock()
+	t.Logf("%d epochs served, %d encoded", len(served), len(det.saves))
+	if len(served) == 0 || len(det.saves) != len(served) {
+		t.Errorf("encoded %d epochs, served %d", len(det.saves), len(served))
+	}
+	for epoch, body := range served {
+		if n := det.saves[epoch]; n != 1 {
+			t.Errorf("epoch %d encoded %d times", epoch, n)
+		}
+		requireReplaysToHead(t, s, srv.URL, body, epoch)
+	}
+}
+
+// A journaling writer nobody asks for a checkpoint never encodes one: the
+// standing copy refreshed every CheckpointEvery batches is gone.
+func TestUnaskedWriterNeverEncodes(t *testing.T) {
+	s, det := newCountingService(t, Options{
+		FlushInterval: time.Hour, JournalDepth: 4, EvolutionDepth: 4, Obs: obs.NewRegistry(),
+	})
+	applyBatches(t, s, 20, 10)
+	if got := s.Stats().Batches; got != 20 {
+		t.Fatalf("%d batches applied, want 20", got)
+	}
+	det.mu.Lock()
+	defer det.mu.Unlock()
+	if len(det.saves) != 0 || s.met.checkpointSeconds.Count() != 0 {
+		t.Fatalf("unasked writer encoded %v (checkpoint_seconds_count %d)", det.saves, s.met.checkpointSeconds.Count())
+	}
+}
+
+// requirePromptStatus serves GET path on h and requires status want
+// within a deadline: a bootstrap route must never wait on a maintenance
+// goroutine that has exited or stopped applying.
+func requirePromptStatus(t *testing.T, h http.Handler, path string, want int) {
+	t.Helper()
+	got := make(chan int, 1)
+	go func() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+		got <- rec.Code
+	}()
+	select {
+	case code := <-got:
+		if code != want {
+			t.Fatalf("GET %s = %d, want %d", path, code, want)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatalf("GET %s still pending after 5s", path)
+	}
+}
+
+// The bootstrap routes answer 503 promptly on a closed service (also
+// after an earlier capture) and on one latched by a failed Update, whose
+// detector may be half-updated.
+func TestBootstrapRoutesFailFast(t *testing.T) {
+	opts := Options{FlushInterval: time.Hour, JournalDepth: 4, EvolutionDepth: 4}
+	closed, _ := newTestService(t, opts)
+	h := closed.Handler()
+	requirePromptStatus(t, h, "/checkpoint", http.StatusOK)
+	closed.Close()
+	requirePromptStatus(t, h, "/checkpoint", http.StatusServiceUnavailable)
+	requirePromptStatus(t, h, "/evolution/state", http.StatusServiceUnavailable)
+
+	st, err := core.Run(testGraph(), core.Config{T: 20, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := 0
+	latched, err := New(failDet{seqDet{st}, &calls}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer latched.Close()
+	for i := range 2 {
+		if err := latched.Submit(graph.Edit{Op: graph.Insert, U: 0, V: 10 + uint32(i)}); err != nil {
+			t.Fatal(err)
+		}
+		latched.Drain()
+	}
+	if latched.failureErr() == nil {
+		t.Fatal("service did not latch")
+	}
+	h = latched.Handler()
+	requirePromptStatus(t, h, "/checkpoint", http.StatusServiceUnavailable)
+	requirePromptStatus(t, h, "/evolution/state", http.StatusServiceUnavailable)
+}
+
+// The captured checkpoint lives only while its epoch is the head: one
+// more publish makes its bytes collectable, while the evolution baseline
+// captured with it stays for GET /evolution/state.
+func TestServedCheckpointIsCollected(t *testing.T) {
+	s, _ := newTestService(t, Options{FlushInterval: time.Hour, JournalDepth: 4, EvolutionDepth: 4})
+	requirePromptStatus(t, s.Handler(), "/checkpoint", http.StatusOK)
+	gone := make(chan struct{})
+	s.jmu.RLock()
+	runtime.SetFinalizer(&s.boot.data[0], func(*byte) { close(gone) })
+	s.jmu.RUnlock()
+
+	applyBatches(t, s, 1, 10)
+	deadline := time.After(10 * time.Second)
+	for collected := false; !collected; {
+		runtime.GC()
+		select {
+		case <-gone:
+			collected = true
+		case <-deadline:
+			t.Fatal("checkpoint bytes still reachable after the next publish")
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	s.jmu.RLock()
+	defer s.jmu.RUnlock()
+	if s.boot.evo == nil || s.boot.epoch != 0 {
+		t.Fatalf("evolution baseline not kept until the next capture: epoch %d, %d bytes", s.boot.epoch, len(s.boot.evo))
+	}
 }
 
 func TestFeedDisabledIs404(t *testing.T) {

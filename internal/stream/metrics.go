@@ -40,7 +40,7 @@ func newStreamMetrics(r *obs.Registry, s *Service) *streamMetrics {
 		queueWaitSeconds: r.Histogram("rslpa_stream_queue_wait_seconds",
 			"Time from a batch's first edit entering the coalescer to its Update starting.", obs.LatencyBuckets),
 		checkpointSeconds: r.Histogram("rslpa_stream_checkpoint_seconds",
-			"Durable checkpoint write latency.", obs.LatencyBuckets),
+			"Checkpoint latency: a durable checkpoint file write, or a GET /checkpoint encode at the head.", obs.LatencyBuckets),
 		querySeconds: r.Histogram("rslpa_stream_query_seconds",
 			"HTTP read-endpoint latency (/communities, /vertex, /community/{id}/history).", obs.LatencyBuckets),
 		batchEdits: r.Histogram("rslpa_stream_batch_edits",

@@ -54,19 +54,19 @@
 //
 // With Options.JournalDepth > 0 the service additionally keeps the last
 // JournalDepth applied canonical batches (each stamped with the epoch it
-// produced) plus an in-memory detector checkpoint, and the HTTP handler
-// serves them as GET /feed?from=<epoch> and GET /checkpoint. A read-only
-// follower (internal/replica) bootstraps from the checkpoint and tails
-// the feed, replaying the writer's exact canonical batches through its
-// own detector — determinism makes the follower's snapshot at epoch E
-// bit-identical to the writer's, so GET /communities and /vertex/{v}
-// scale horizontally across replicas while the single writer ingests. A
-// follower that falls behind the bounded journal horizon gets 410 Gone
-// and re-bootstraps from the latest checkpoint.
+// produced), and the HTTP handler serves them as GET /feed?from=<epoch>
+// beside GET /checkpoint, a detector checkpoint encoded at the head on
+// request. A read-only follower (internal/replica) bootstraps from the
+// checkpoint and tails the feed, replaying the writer's exact canonical
+// batches through its own detector — determinism makes the follower's
+// snapshot at epoch E bit-identical to the writer's, so GET /communities
+// and /vertex/{v} scale horizontally across replicas while the single
+// writer ingests. A follower that falls behind the bounded journal
+// horizon gets 410 Gone and re-bootstraps from a fresh checkpoint.
 package stream
 
 import (
-	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
@@ -132,9 +132,9 @@ type Options struct {
 	// (time.Hour) means "only on MaxBatch or Drain".
 	//
 	// CheckpointEvery counts batches, and group commit runs many more of
-	// them under load, so a service with CheckpointPath or JournalDepth
-	// set re-encodes its checkpoint correspondingly more often; such a
-	// service should set an interval.
+	// them under load, so a service with CheckpointPath set writes its
+	// checkpoint file correspondingly more often; such a service should
+	// set an interval.
 	FlushInterval time.Duration
 	// Extraction configures snapshot community extraction (thresholds,
 	// metric); the zero value selects them automatically.
@@ -143,9 +143,9 @@ type Options struct {
 	// detector to this file — written atomically via a temporary file and
 	// rename — every CheckpointEvery batches and once more on Close.
 	CheckpointPath string
-	// CheckpointEvery is the number of applied batches between
-	// checkpoints — on disk (CheckpointPath) and in memory (JournalDepth).
-	// It counts batches, not edits or time; see FlushInterval. Default 16.
+	// CheckpointEvery is the number of applied batches between on-disk
+	// checkpoints (CheckpointPath). It counts batches, not edits or time;
+	// see FlushInterval. Default 16.
 	CheckpointEvery int
 	// BaseEpoch is the epoch of the initial snapshot (default 0). A caller
 	// whose detector resumed from a checkpoint passes the detector's own
@@ -154,12 +154,10 @@ type Options struct {
 	// and the followers that replay its feed.
 	BaseEpoch uint64
 	// JournalDepth, when positive, makes the service retain the last
-	// JournalDepth applied canonical batches (with their epochs) and an
-	// in-memory checkpoint of the detector, which the HTTP handler serves
-	// as GET /feed and GET /checkpoint for follower replicas. It is
-	// clamped to at least CheckpointEvery so a follower that bootstraps
-	// from the latest checkpoint always starts inside the journal horizon.
-	// Zero disables journaling (the feed endpoints answer 404).
+	// JournalDepth applied canonical batches (with their epochs), served
+	// as GET /feed, and serve GET /checkpoint, a detector checkpoint
+	// encoded at the head on request, for follower replicas. Zero
+	// disables journaling (the feed endpoints answer 404).
 	JournalDepth int
 	// EvolutionDepth, when positive, enables the temporal evolution tier:
 	// after every published snapshot the service diffs its community set
@@ -204,9 +202,6 @@ func (o Options) withDefaults() Options {
 	if o.CheckpointEvery <= 0 {
 		o.CheckpointEvery = 16
 	}
-	if o.JournalDepth > 0 && o.JournalDepth < o.CheckpointEvery {
-		o.JournalDepth = o.CheckpointEvery
-	}
 	return o
 }
 
@@ -229,11 +224,12 @@ type Stats struct {
 	Batches        uint64 `json:"batches"`         // Update calls
 	Checkpoints    uint64 `json:"checkpoints"`     // checkpoint files written
 	Queries        uint64 `json:"queries"`         // Snapshot loads
-	// FlushErrors counts flushes that failed (detector update or checkpoint
-	// write) — including the ones on the group-commit, ticker and MaxBatch
-	// paths, which have no caller to return an error to. A nonzero count
-	// with a healthy LastError means an earlier transient checkpoint
-	// failure; a growing count means flushes keep failing.
+	// FlushErrors counts flushes that failed (detector update or on-disk
+	// checkpoint write) — including the ones on the group-commit, ticker
+	// and MaxBatch paths, which have no caller to return an error to. A
+	// nonzero count with a healthy LastError means an earlier transient
+	// checkpoint failure; a growing count means flushes keep failing. A
+	// failed GET /checkpoint encode is answered to its requester instead.
 	FlushErrors uint64 `json:"flush_errors"`
 
 	LastBatchEdits    int   `json:"last_batch_edits"`
@@ -301,9 +297,9 @@ type Service struct {
 	opts Options
 
 	in   chan graph.Edit
-	ctl  chan chan error // Drain requests
-	quit chan struct{}   // closed by Close
-	done chan struct{}   // closed when the maintenance goroutine exits
+	ctl  chan func()   // work run between batches (Drain, checkpoint capture)
+	quit chan struct{} // closed by Close
+	done chan struct{} // closed when the maintenance goroutine exits
 
 	// Observability: met is nil when Options.Obs is unset (the individual
 	// obs types are additionally nil-safe); trace is nil when tracing is
@@ -315,14 +311,17 @@ type Service struct {
 	start  time.Time
 	engine EngineStatsProvider
 
-	// Maintenance-goroutine-private batch bookkeeping: when the pending
-	// batch's first edit arrived, how much time coalescing it has cost,
-	// the previous engine wire reading (for per-batch trace deltas), and
-	// when the previous flush returned (service start before the first).
+	// Maintenance-goroutine-private batch bookkeeping: the pending batch,
+	// when its first edit arrived, how much time coalescing it has cost,
+	// the previous engine wire reading (for per-batch trace deltas), when
+	// the previous flush returned (service start before the first), and
+	// the batches applied since the last checkpoint file.
+	co           *graph.Coalescer
 	pendSince    time.Time
 	pendCoalesce time.Duration
 	prevEng      [3]int64
 	idleSince    time.Time
+	sinceCkpt    int
 
 	closeOnce sync.Once
 	closeErr  error
@@ -350,19 +349,12 @@ type Service struct {
 	failed  bool  // a detector Update failed; the service stops applying
 
 	// Replication journal (JournalDepth > 0): the last JournalDepth applied
-	// canonical batches plus an in-memory checkpoint, written only by the
+	// canonical batches and the last bootstrap image, written only by the
 	// maintenance goroutine and read by the feed/checkpoint HTTP handlers.
-	// sinceMemCkpt is maintenance-goroutine-private. evoCkptData is the
-	// serialized evolution baseline captured at ckptEpoch (nil without the
-	// evolution tier), guarded by jmu so GET /checkpoint and
-	// GET /evolution/state always serve images of one epoch.
 	jmu          sync.RWMutex
 	journal      []feedBatch
 	journalEpoch uint64 // epoch of the newest journaled batch (BaseEpoch when empty)
-	ckptData     []byte // serialized detector at ckptEpoch
-	ckptEpoch    uint64
-	evoCkptData  []byte
-	sinceMemCkpt int
+	boot         bootImage
 
 	// Temporal evolution tier (EvolutionDepth > 0); nil when disabled.
 	evo *evoTier
@@ -390,6 +382,15 @@ type feedBatch struct {
 	edits []graph.Edit
 }
 
+// bootImage is what a follower bootstraps from: the detector checkpoint
+// (GET /checkpoint) and the evolution baseline (GET /evolution/state, nil
+// without a live evolution tier), both encoded at epoch. flush drops data
+// once a newer epoch is published; evo is kept until the next capture.
+type bootImage struct {
+	epoch     uint64
+	data, evo []byte
+}
+
 // New starts a service over det. The detector must not be used by the
 // caller while the service is running — the service owns its mutation and
 // its reads (queries go through snapshots instead).
@@ -402,7 +403,8 @@ func New(det Detector, opts Options) (*Service, error) {
 		det:   det,
 		opts:  opts,
 		in:    make(chan graph.Edit, opts.QueueCapacity),
-		ctl:   make(chan chan error),
+		ctl:   make(chan func()),
+		co:    graph.NewCoalescer(det.Graph()),
 		quit:  make(chan struct{}),
 		done:  make(chan struct{}),
 		trace: opts.Trace,
@@ -444,14 +446,7 @@ func New(det Detector, opts Options) (*Service, error) {
 			return nil, err
 		}
 	}
-	if opts.JournalDepth > 0 {
-		// Followers bootstrap from the in-memory checkpoint, so it must
-		// exist before the first feed request can arrive.
-		s.journalEpoch = opts.BaseEpoch
-		if err := s.refreshMemCheckpoint(opts.BaseEpoch); err != nil {
-			return nil, fmt.Errorf("stream: initial journal checkpoint: %w", err)
-		}
-	}
+	s.journalEpoch = opts.BaseEpoch
 	if s.engine != nil {
 		// Seed the cumulative engine counters so /stats shows the initial
 		// propagation's traffic before the first batch lands.
@@ -470,31 +465,6 @@ func New(det Detector, opts Options) (*Service, error) {
 		"journal_depth", opts.JournalDepth)
 	go s.loop()
 	return s, nil
-}
-
-// refreshMemCheckpoint serializes the detector (currently at the given
-// epoch) into the in-memory checkpoint the feed tier bootstraps from.
-// Called only from New and the maintenance goroutine.
-func (s *Service) refreshMemCheckpoint(epoch uint64) error {
-	var buf bytes.Buffer
-	if err := s.det.Save(&buf); err != nil {
-		return err
-	}
-	// Capture the evolution baseline in the same refresh so the two
-	// bootstrap images (GET /checkpoint, GET /evolution/state) always
-	// share an epoch; nil when the tier is off or latched.
-	var evoData []byte
-	if s.evo != nil {
-		if data, err := s.evo.saveState(); err == nil {
-			evoData = data
-		}
-	}
-	s.jmu.Lock()
-	s.ckptData = buf.Bytes()
-	s.ckptEpoch = epoch
-	s.evoCkptData = evoData
-	s.jmu.Unlock()
-	return nil
 }
 
 // sweepCheckpointTemps removes stale temporary checkpoint files (the
@@ -552,17 +522,24 @@ func (s *Service) Snapshot() *Snapshot {
 // producer that has stopped submitting). It returns the flush error, or
 // ErrClosed if the service is closed before the drain completes.
 func (s *Service) Drain() error {
-	reply := make(chan error, 1)
-	select {
-	case s.ctl <- reply:
-	case <-s.done:
+	var err error
+	if !s.between(func() { err = s.drainQueue() }) {
 		return s.drainErr()
 	}
+	return err
+}
+
+// between hands fn to the maintenance goroutine, which runs it between
+// batches, and returns once fn has returned. It reports false without
+// running fn when the maintenance goroutine has exited (Close).
+func (s *Service) between(fn func()) bool {
+	ran := make(chan struct{})
 	select {
-	case err := <-reply:
-		return err
+	case s.ctl <- func() { fn(); close(ran) }:
+		<-ran // the loop runs what it received before anything else
+		return true
 	case <-s.done:
-		return s.drainErr()
+		return false
 	}
 }
 
@@ -584,6 +561,16 @@ func (s *Service) checkpointFailure() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.ckptErr
+}
+
+// closedErr returns ErrClosed once the maintenance goroutine has exited.
+func (s *Service) closedErr() error {
+	select {
+	case <-s.done:
+		return ErrClosed
+	default:
+		return nil
+	}
 }
 
 // failureErr returns the latched detector failure, if any.
@@ -656,7 +643,6 @@ func (s *Service) Close() error {
 // detector after New returns.
 func (s *Service) loop() {
 	defer close(s.done)
-	co := graph.NewCoalescer(s.det.Graph())
 	// Group commit (FlushInterval 0) leaves tick nil, so its case never
 	// fires.
 	var tick <-chan time.Time
@@ -665,37 +651,29 @@ func (s *Service) loop() {
 		defer t.Stop()
 		tick = t.C
 	}
-	sinceCkpt := 0
 	for {
 		select {
 		case e := <-s.in:
-			s.ingest(co, e)
+			s.ingest(e)
 			if tick == nil {
 				// Group commit: this edit and everything queued behind it
 				// close a batch now; whatever queues during its flush
 				// becomes the next one.
-				s.drainQueue(co, &sinceCkpt)
-				s.flush(co, &sinceCkpt)
-			} else if co.Len() >= s.opts.MaxBatch {
-				s.flush(co, &sinceCkpt)
+				s.drainQueue()
+			} else if s.co.Len() >= s.opts.MaxBatch {
+				s.flush()
 			}
 		case <-tick:
 			// A flush that outlasted FlushInterval leaves a tick pending
 			// beside whatever queued up meanwhile, and select picks between
 			// ready cases at random: take the queue first, so the tick's
 			// batch carries everything already submitted.
-			s.drainQueue(co, &sinceCkpt)
-			s.flush(co, &sinceCkpt)
-		case reply := <-s.ctl:
-			err := s.drainQueue(co, &sinceCkpt)
-			if ferr := s.flush(co, &sinceCkpt); err == nil {
-				err = ferr
-			}
-			reply <- err
+			s.drainQueue()
+		case fn := <-s.ctl:
+			fn()
 		case <-s.quit:
-			s.drainQueue(co, &sinceCkpt)
-			s.flush(co, &sinceCkpt)
-			if s.opts.CheckpointPath != "" && !s.isFailed() {
+			s.drainQueue()
+			if s.opts.CheckpointPath != "" && s.failureErr() == nil {
 				s.writeCheckpoint()
 			}
 			return
@@ -708,69 +686,55 @@ func (s *Service) loop() {
 // the pending edit and this one). When instrumented it also stamps the
 // pending batch's first-arrival time (for the queue-wait histogram) and
 // accumulates the coalescing cost (for the trace's coalesce span).
-func (s *Service) ingest(co *graph.Coalescer, e graph.Edit) {
-	if s.met != nil || s.trace != nil {
+func (s *Service) ingest(e graph.Edit) {
+	timed := s.met != nil || s.trace != nil
+	var t0 time.Time
+	if timed {
+		t0 = time.Now()
 		if s.pendSince.IsZero() {
-			s.pendSince = time.Now()
+			s.pendSince = t0
 		}
-		t0 := time.Now()
-		r := co.Add(e)
-		s.pendCoalesce += time.Since(t0)
-		switch r {
-		case 0:
-			s.coalesced.Add(1)
-		case -1:
-			s.coalesced.Add(2)
-		}
-		return
 	}
-	switch co.Add(e) {
-	case 0:
-		s.coalesced.Add(1)
-	case -1:
-		s.coalesced.Add(2)
+	r := s.co.Add(e) // +1 net change, 0 absorbed, -1 cancelled a pending edit
+	if timed {
+		s.pendCoalesce += time.Since(t0)
+	}
+	if r < 1 {
+		s.coalesced.Add(uint64(1 - r))
 	}
 }
 
 // drainQueue moves everything currently buffered in the ingest queue into
-// the coalescer without blocking, and returns the first flush error it
-// hits. MaxBatch stays an invariant here too — a drain of a deep queue
-// applies several MaxBatch-sized batches rather than one giant one, so
-// batch boundaries do not depend on whether edits were ingested one by
+// the coalescer without blocking, applies it, and returns the first flush
+// error it hits. MaxBatch stays an invariant here too — a drain of a deep
+// queue applies several MaxBatch-sized batches rather than one giant one,
+// so batch boundaries do not depend on whether edits were ingested one by
 // one or found buffered.
-func (s *Service) drainQueue(co *graph.Coalescer, sinceCkpt *int) error {
+func (s *Service) drainQueue() error {
 	var first error
 	for {
 		select {
 		case e := <-s.in:
-			s.ingest(co, e)
-			if co.Len() >= s.opts.MaxBatch {
-				if err := s.flush(co, sinceCkpt); err != nil && first == nil {
-					first = err
-				}
+			s.ingest(e)
+			if s.co.Len() >= s.opts.MaxBatch {
+				first = cmp.Or(first, s.flush())
 			}
 		default:
-			return first
+			return cmp.Or(first, s.flush())
 		}
 	}
-}
-
-func (s *Service) isFailed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.failed
 }
 
 // flush applies the pending canonical batch (if any) through the detector,
 // builds the next snapshot, and publishes it. After a detector failure the
 // service latches: the stale-but-consistent snapshot keeps serving, and
 // further flushes are dropped.
-func (s *Service) flush(co *graph.Coalescer, sinceCkpt *int) error {
+func (s *Service) flush() error {
 	if err := s.failureErr(); err != nil {
-		co.Flush() // discard: a latched detector will never apply them
+		s.co.Flush() // discard: a latched detector will never apply them
 		return err
 	}
-	batch := co.Flush()
+	batch := s.co.Flush()
 	// The pending-batch stamps belong to the batch being flushed; reset
 	// them before the next one starts accumulating (also when the batch
 	// coalesced away to nothing).
@@ -838,8 +802,8 @@ func (s *Service) flush(co *graph.Coalescer, sinceCkpt *int) error {
 
 	// Temporal evolution: diff the just-published snapshot's communities
 	// against the previous epoch's, synchronously, so the event journal
-	// stays epoch-contiguous and the checkpoint capture below sees the
-	// tracker at exactly this epoch.
+	// stays epoch-contiguous and every checkpoint capture sees the tracker
+	// at exactly the detector's epoch.
 	var evoDur time.Duration
 	if s.evo != nil {
 		evoDur = s.advanceEvolution(next)
@@ -882,35 +846,25 @@ func (s *Service) flush(co *graph.Coalescer, sinceCkpt *int) error {
 	s.mu.Unlock()
 
 	var journalDur time.Duration
-	var flushErr error
 	if s.opts.JournalDepth > 0 {
 		j0 := time.Now()
 		// The coalescer's Flush returned a fresh canonical slice, so the
-		// journal can retain it without copying. Trim to the horizon.
+		// journal can retain it without copying. Trim to the horizon. The
+		// bootstrap checkpoint is served at the head only, so its bytes go
+		// now; a response in flight keeps its own slice.
 		s.jmu.Lock()
 		s.journal = trimFront(append(s.journal, feedBatch{epoch: next.Epoch(), edits: batch}), s.opts.JournalDepth)
 		s.journalEpoch = next.Epoch()
+		s.boot.data = nil
 		s.jmu.Unlock()
-		// Refresh the in-memory checkpoint every CheckpointEvery batches so
-		// its epoch never trails the journal head by more than
-		// CheckpointEvery — which JournalDepth is clamped to cover, keeping
-		// checkpoint bootstrap inside the feed horizon.
-		if s.sinceMemCkpt++; s.sinceMemCkpt >= s.opts.CheckpointEvery {
-			s.sinceMemCkpt = 0
-			if err := s.refreshMemCheckpoint(next.Epoch()); err != nil {
-				s.mu.Lock()
-				s.st.FlushErrors++
-				s.mu.Unlock()
-				flushErr = s.checkpointErr(err)
-			}
-		}
 		journalDur = time.Since(j0)
 	}
 
 	var ckptDur time.Duration
-	if flushErr == nil && s.opts.CheckpointPath != "" {
-		if *sinceCkpt++; *sinceCkpt >= s.opts.CheckpointEvery {
-			*sinceCkpt = 0
+	var flushErr error
+	if s.opts.CheckpointPath != "" {
+		if s.sinceCkpt++; s.sinceCkpt >= s.opts.CheckpointEvery {
+			s.sinceCkpt = 0
 			c0 := time.Now()
 			err := s.writeCheckpoint()
 			ckptDur = time.Since(c0)

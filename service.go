@@ -29,25 +29,23 @@ type ServiceOptions struct {
 	// as soon as the previous one has been applied, carrying every edit
 	// that queued meanwhile (up to MaxBatch). A positive interval flushes
 	// partial batches on a fixed ticker of that period instead. Because
-	// CheckpointEvery counts batches, a service with CheckpointPath or
-	// JournalDepth set should use an interval: group commit would
-	// re-encode its checkpoint once per CheckpointEvery of its many more,
-	// smaller batches.
+	// CheckpointEvery counts batches, a service with CheckpointPath set
+	// should use an interval: group commit would write its checkpoint file
+	// once per CheckpointEvery of its many more, smaller batches.
 	FlushInterval time.Duration
 	// CheckpointPath, when set, checkpoints the detector to this file
 	// (atomic tmp+rename) every CheckpointEvery batches and on Close; a
 	// restarted process resumes via LoadDetector + NewService.
 	CheckpointPath string
 	// CheckpointEvery is the number of batches (not edits, not seconds)
-	// between checkpoints, on disk and in the feed's in-memory copy.
-	// Default 16.
+	// between checkpoint files (CheckpointPath). Default 16.
 	CheckpointEvery int
 	// JournalDepth, when positive, retains the last JournalDepth applied
-	// canonical batches plus an in-memory checkpoint and serves them over
-	// the HTTP handler as GET /feed and GET /checkpoint, so read-only
-	// follower replicas (internal/replica, `rslpa serve -follow`) can
-	// bootstrap and tail this writer. Clamped to at least CheckpointEvery;
-	// zero disables the feed.
+	// canonical batches and serves them over the HTTP handler as GET /feed,
+	// beside GET /checkpoint, a detector checkpoint encoded at the head on
+	// request, so read-only follower replicas (internal/replica,
+	// `rslpa serve -follow`) can bootstrap and tail this writer. Zero
+	// disables the feed.
 	JournalDepth int
 	// EvolutionDepth, when positive, tracks how communities evolve across
 	// epochs: after each publish the new snapshot's community set is
