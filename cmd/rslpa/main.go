@@ -75,7 +75,7 @@ func runDetect(args []string) {
 	var (
 		graphPath = fs.String("graph", "", "edge list input file (required)")
 		algo      = fs.String("algo", "rslpa", "algorithm: rslpa or slpa")
-		T         = fs.Int("T", 0, "iterations (0 = algorithm default: 200 rSLPA, 100 SLPA)")
+		T         = fs.Int("T", 0, "iterations (0 = algorithm default: 200 rSLPA, 100 SLPA; rSLPA needs T ≤ 65535)")
 		tau       = fs.Float64("tau", 0.2, "SLPA membership threshold")
 		seed      = fs.Uint64("seed", 1, "PRNG seed")
 		workers   = fs.Int("workers", 0, "rSLPA: BSP workers (0 = sequential)")

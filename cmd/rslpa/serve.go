@@ -50,7 +50,7 @@ func runServe(args []string) {
 	var (
 		graphPath = fs.String("graph", "", "edge list to detect on at startup (omit to start from an empty graph)")
 		addr      = fs.String("addr", ":7463", "HTTP listen address")
-		T         = fs.Int("T", 0, "propagation iterations (0 = 200)")
+		T         = fs.Int("T", 0, "propagation iterations (0 = 200; T ≤ 65535)")
 		seed      = fs.Uint64("seed", 1, "PRNG seed")
 		workers   = fs.Int("workers", 0, "BSP workers (0 = sequential)")
 		tcp       = fs.Bool("tcp", false, "use loopback TCP transport between workers")

@@ -2,6 +2,7 @@ package rslpa_test
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
@@ -136,5 +137,25 @@ func TestOmegaAndF1Facade(t *testing.T) {
 	}
 	if got := rslpa.AverageF1(c, c); got != 1 {
 		t.Fatalf("self-F1 = %v", got)
+	}
+}
+
+// TestDetectTBound checks Detect accepts T = MaxT and rejects T = MaxT+1
+// with a *TRangeError, sequentially and before a distributed engine starts.
+func TestDetectTBound(t *testing.T) {
+	g := rslpa.NewGraph()
+	g.AddEdge(0, 1)
+	g.AddEdge(1, 2)
+	d, err := rslpa.Detect(g, rslpa.Config{T: rslpa.MaxT})
+	if err != nil {
+		t.Fatalf("T=%d: %v", rslpa.MaxT, err)
+	}
+	d.Close()
+	for _, workers := range []int{1, 2} {
+		var rangeErr *rslpa.TRangeError
+		_, err := rslpa.Detect(g, rslpa.Config{T: rslpa.MaxT + 1, Workers: workers})
+		if !errors.As(err, &rangeErr) {
+			t.Fatalf("Workers=%d, T=%d: got %v, want a *TRangeError", workers, rslpa.MaxT+1, err)
+		}
 	}
 }

@@ -27,10 +27,12 @@ import (
 
 const checkpointMagic = "RSLPA2\n"
 
-// checkpoint sanity bounds: corruption guards for the decoder, far above
-// anything this repo's scales produce, not protocol limits.
+// checkpoint sanity bounds. maxCheckpointT is the State layout's own bound
+// (a larger header is rejected before anything is allocated); the others
+// are corruption guards for the decoder, far above anything this repo's
+// scales produce, not protocol limits.
 const (
-	maxCheckpointT      = 1 << 20
+	maxCheckpointT      = MaxT
 	maxCheckpointShards = 1 << 16
 	maxCheckpointSpace  = 1 << 32
 )
@@ -42,12 +44,16 @@ const (
 // for fresh slots. Reverse records are NOT stored: they are fully determined
 // by the picks (Validate's record-symmetry invariant) and are rebuilt on
 // load.
+//
+// Pos has the State's in-memory width and convention: u16, 0 under a -1
+// Src. The codec maps it to the wire's u32 with -1 under a sentinel, so a
+// save encodes straight from the live rows without a widened copy.
 type VertexRecord struct {
 	V      uint32
 	Nbrs   []uint32
 	Labels []uint32 // iterations 1..T (length T)
 	Src    []int32  // iterations 1..T; -1 = fresh sentinel
-	Pos    []int32  // parallel to Src
+	Pos    []uint16 // parallel to Src; 0 under a sentinel
 }
 
 // CheckpointMeta is the scalar header state of a checkpoint: everything a
@@ -153,8 +159,12 @@ func appendVertexRecord(buf []byte, rec *VertexRecord) []byte {
 	for _, s := range rec.Src {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(s))
 	}
-	for _, p := range rec.Pos {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(p))
+	for i, p := range rec.Pos {
+		w := uint32(p)
+		if rec.Src[i] < 0 {
+			w = ^uint32(0) // the wire keeps -1 under a sentinel
+		}
+		buf = binary.LittleEndian.AppendUint32(buf, w)
 	}
 	return buf
 }
@@ -203,7 +213,8 @@ func WriteCheckpoint(w io.Writer, meta CheckpointMeta, shards [][]byte) error {
 
 // Checkpoint snapshots a sequential State as a single-shard checkpoint with
 // records in ascending vertex order. The State is unchanged; record slices
-// alias the State's internal arrays, so encode before mutating it further.
+// (Pos included: it keeps the in-memory u16 form, see VertexRecord) alias
+// the State's internal arrays, so encode before mutating it further.
 func (s *State) Checkpoint() *Checkpoint {
 	recs := make([]VertexRecord, 0, s.g.NumVertices())
 	s.g.ForEachVertex(func(v uint32) {
@@ -410,15 +421,35 @@ func readVertexRecord(r io.Reader, t, idSpace int) (VertexRecord, error) {
 		}
 		rec.Src[j] = int32(x)
 	}
-	rec.Pos = make([]int32, t)
+	rec.Pos = make([]uint16, t)
 	for j := range rec.Pos {
 		x, err := readU32(r)
 		if err != nil {
 			return rec, err
 		}
-		rec.Pos[j] = int32(x)
+		rec.Pos[j] = memPos(rec.Src[j], int32(x))
 	}
 	return rec, nil
+}
+
+// badPos marks a wire position the in-memory layout cannot hold. No pick
+// can carry it (a position is below its iteration, and T ≤ MaxT), so Verify
+// rejects it exactly where it rejected the wire value.
+const badPos = MaxT
+
+// memPos maps a wire position to its in-memory u16. A sentinel's negative
+// wire pos becomes 0, as in a live State; any other value Verify would
+// reject — a non-negative pos under a sentinel, or a real pick's pos
+// outside [0, MaxT) — becomes badPos, which Verify rejects in turn.
+func memPos(src, pos int32) uint16 {
+	switch {
+	case src < 0 && pos < 0:
+		return 0
+	case src >= 0 && pos >= 0 && pos < badPos:
+		return uint16(pos)
+	default:
+		return badPos
+	}
 }
 
 // countingReader tracks bytes consumed, for shard-length framing checks.
@@ -456,7 +487,7 @@ func (c *Checkpoint) Verify() error {
 	}
 	// labelAt(u, p) is u's label at position p; position 0 is the vertex ID
 	// itself. Callers have already established u is present and p <= T.
-	labelAt := func(u uint32, p int32) uint32 {
+	labelAt := func(u uint32, p uint16) uint32 {
 		if p == 0 {
 			return u
 		}
@@ -486,7 +517,7 @@ func (c *Checkpoint) Verify() error {
 			t := i + 1
 			sv, pv := rec.Src[i], rec.Pos[i]
 			if sv < 0 {
-				if pv >= 0 {
+				if pv != 0 {
 					failure = fmt.Errorf("core: load: vertex %d iter %d: sentinel src with pos %d", rec.V, t, pv)
 					return
 				}
@@ -502,7 +533,7 @@ func (c *Checkpoint) Verify() error {
 				failure = fmt.Errorf("core: load: vertex %d iter %d references absent source %d", rec.V, t, sv)
 				return
 			}
-			if pv < 0 || int(pv) >= t {
+			if int(pv) >= t {
 				failure = fmt.Errorf("core: load: vertex %d iter %d has pos %d", rec.V, t, pv)
 				return
 			}
@@ -566,31 +597,16 @@ func (c *Checkpoint) BuildState() (*State, error) {
 	if err != nil {
 		return nil, err
 	}
-	space := g.MaxVertexID()
-	s := &State{cfg: Config{T: c.T, Seed: c.Seed}, epoch: c.Epoch, g: g}
-	s.labels = make([][]uint32, space)
-	s.src = make([][]int32, space)
-	s.pos = make([][]int32, space)
-	s.recv = make([][]Record, space)
+	s := newState(g, Config{T: c.T, Seed: c.Seed})
+	s.epoch = c.Epoch
 	c.Records(func(rec *VertexRecord) {
-		v, t := rec.V, c.T
-		labels := make([]uint32, t+1)
-		srcs := make([]int32, t+1)
-		poss := make([]int32, t+1)
-		labels[0], srcs[0], poss[0] = v, -1, -1
-		copy(labels[1:], rec.Labels)
-		copy(srcs[1:], rec.Src)
-		copy(poss[1:], rec.Pos)
-		s.labels[v], s.src[v], s.pos[v] = labels, srcs, poss
+		v := rec.V
+		copy(s.labels[v][1:], rec.Labels)
+		copy(s.src[v][1:], rec.Src)
+		copy(s.pos[v][1:], rec.Pos)
 	})
 	// Rebuild the reverse records from the picks (record-symmetry
 	// invariant); Verify has already vetted every reference.
-	c.Records(func(rec *VertexRecord) {
-		for i := 0; i < c.T; i++ {
-			if sv := rec.Src[i]; sv >= 0 {
-				s.recv[sv] = append(s.recv[sv], Record{Pos: rec.Pos[i], Tar: rec.V, Iter: int32(i + 1)})
-			}
-		}
-	})
+	s.buildRecords()
 	return s, nil
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 
@@ -17,25 +16,17 @@ import (
 // This is in-process parallelism for a single machine, distinct from the
 // partitioned message-passing execution in internal/dist: no messages are
 // exchanged, the full state is shared, and only the per-level compute is
-// fanned out. The records are accumulated per worker and merged at the end
+// fanned out. The picks are accumulated per worker and merged at the end
 // of each level so no locking appears on the hot path.
 func RunParallel(g *graph.Graph, cfg Config, workers int) (*State, error) {
-	if cfg.T <= 0 {
-		return nil, fmt.Errorf("core: config T=%d must be positive", cfg.T)
+	if err := CheckT(cfg.T); err != nil {
+		return nil, err
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	s := &State{cfg: cfg, g: g.Clone()}
-	n := s.g.MaxVertexID()
-	s.labels = make([][]uint32, n)
-	s.src = make([][]int32, n)
-	s.pos = make([][]int32, n)
-	s.recv = make([][]Record, n)
+	s := newState(g.Clone(), cfg)
 	vertices := s.g.Vertices()
-	for _, v := range vertices {
-		s.initVertex(v)
-	}
 	if len(vertices) == 0 {
 		return s, nil
 	}
@@ -54,7 +45,7 @@ func RunParallel(g *graph.Graph, cfg Config, workers int) (*State, error) {
 	type pick struct {
 		v   uint32
 		src uint32
-		pos int32
+		pos uint16
 	}
 	picks := make([][]pick, len(shards))
 	var wg sync.WaitGroup
@@ -73,14 +64,14 @@ func RunParallel(g *graph.Graph, cfg Config, workers int) (*State, error) {
 			}()
 		}
 		wg.Wait()
-		// Serial merge: install picks (writes labels[v][t], the records at
-		// sources, and src/pos) — cheap relative to the draws, and gives
-		// the exact same record multiset as the sequential Run.
+		// Serial merge: set the picks (labels[v][t] and src/pos) — cheap
+		// relative to the draws.
 		for _, out := range picks {
 			for _, p := range out {
-				s.install(p.v, int32(t), p.src, p.pos)
+				s.setPick(p.v, t, p.src, p.pos)
 			}
 		}
 	}
+	s.buildRecords() // the same rows, in the same order, as the sequential Run
 	return s, nil
 }

@@ -44,7 +44,11 @@ import (
 //	                    restored detector resume bit-identically)
 //	labels   T × u32    label sequence l¹..l^T (l⁰ = v is implied)
 //	src      T × u32    pick sources as int32 bit patterns (-1 = sentinel)
-//	pos      T × u32    pick positions, parallel to src
+//	pos      T × u32    pick positions, parallel to src (-1 = sentinel)
+//
+// In memory pos is a u16 with 0 under a sentinel (T ≤ 65535 bounds every
+// position); the codec maps between the two forms, and the decoder rejects
+// any wire position the u16 cannot hold.
 //
 // Reverse records are not stored: they are fully determined by the (src,
 // pos) choices (Validate's record-symmetry invariant), so loaders rebuild

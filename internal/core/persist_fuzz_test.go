@@ -8,8 +8,9 @@ import (
 )
 
 // fuzzSeedBlobs builds the seed corpus: one valid legacy (v1) stream, one
-// valid sharded (v2) container, systematic truncations of both, and
-// bit-flipped variants at spread-out offsets. The fuzzer mutates from
+// valid sharded (v2) container, a header with T = MaxT+1, systematic
+// truncations of both valid streams, and bit-flipped variants at
+// spread-out offsets. The fuzzer mutates from
 // there; the target's only contract is error-not-panic with bounded
 // allocation.
 func fuzzSeedBlobs(f *testing.F) [][]byte {
@@ -42,7 +43,14 @@ func fuzzSeedBlobs(f *testing.F) [][]byte {
 		f.Fatal(err)
 	}
 
-	seeds := [][]byte{v1.Bytes(), v2.Bytes(), sharded.Bytes()}
+	// A header one iteration past what a State can hold: rejected by the
+	// header check, before any allocation.
+	var tooLong bytes.Buffer
+	if err := WriteCheckpoint(&tooLong, CheckpointMeta{T: MaxT + 1, IDSpace: 40}, nil); err != nil {
+		f.Fatal(err)
+	}
+
+	seeds := [][]byte{v1.Bytes(), v2.Bytes(), sharded.Bytes(), tooLong.Bytes()}
 	for _, full := range [][]byte{v1.Bytes(), sharded.Bytes()} {
 		for _, cut := range []int{0, 3, 7, 20, len(full) / 2, len(full) - 3} {
 			if cut >= 0 && cut < len(full) {

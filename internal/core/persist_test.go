@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
 	"strings"
 	"testing"
@@ -87,6 +88,63 @@ func TestSaveLoadWithSentinels(t *testing.T) {
 	}
 	if _, _, ok := loaded.Pick(5, 3); ok {
 		t.Fatal("sentinel pick resurrected")
+	}
+}
+
+// TestLoadWirePositions pins the mapping between the wire's u32 positions
+// and the State's u16 ones: a sentinel's negative wire pos loads as 0 and
+// re-saves as -1, while every position the wire can carry but a pick cannot
+// hold is rejected.
+func TestLoadWirePositions(t *testing.T) {
+	const T = 8
+	g := graph.New()
+	g.AddEdge(0, 1)
+	st := mustRun(t, g, Config{T: T, Seed: 2})
+	st.AddVertex(5)
+	var buf bytes.Buffer
+	if err := st.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	full := buf.Bytes()
+	// Legacy stream: 7-byte magic, 5 × u64 header, then the records of
+	// vertices 0 (degree 1), 1 (degree 1) and 5 (degree 0) in that order.
+	recBytes := func(deg int) int { return 4 * (2 + deg + 3*T) }
+	posAt := func(recStart, deg, iter int) int { return recStart + 4*(2+deg+2*T) + 4*(iter-1) }
+	start0 := len(persistMagic) + 40
+	start5 := start0 + 2*recBytes(1)
+	for _, c := range []struct {
+		name   string
+		off    int
+		pos    int32
+		accept bool
+	}{
+		{"sentinel with pos -7", posAt(start5, 0, 3), -7, true},
+		{"sentinel with pos 0", posAt(start5, 0, 3), 0, false},
+		{"sentinel with pos 2", posAt(start5, 0, 3), 2, false},
+		{"pick with pos -1", posAt(start0, 1, 3), -1, false},
+		{"pick with pos 65535", posAt(start0, 1, 3), 65535, false},
+		{"pick with pos 65536", posAt(start0, 1, 3), 65536, false},
+		{"pick with pos 1<<20", posAt(start0, 1, 3), 1 << 20, false},
+	} {
+		mut := append([]byte(nil), full...)
+		binary.LittleEndian.PutUint32(mut[c.off:], uint32(c.pos))
+		loaded, err := Load(bytes.NewReader(mut))
+		if (err == nil) != c.accept {
+			t.Fatalf("%s: accepted=%v (err %v)", c.name, err == nil, err)
+		}
+		if err != nil {
+			continue
+		}
+		if err := loaded.Validate(); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		var resaved bytes.Buffer
+		if err := loaded.Save(&resaved); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(resaved.Bytes(), full) {
+			t.Fatalf("%s: re-save differs from the original stream", c.name)
+		}
 	}
 }
 

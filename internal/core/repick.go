@@ -14,14 +14,14 @@ import (
 // InitialPick draws vertex v's Algorithm 1 pick for iteration t from its
 // effective neighbor set (nbrs when non-empty, else {v}). The draw is a
 // pure function of (cfg.Seed, v, t) and the order of nbrs.
-func InitialPick(cfg Config, v uint32, t int, nbrs []uint32) (src uint32, pos int32) {
+func InitialPick(cfg Config, v uint32, t int, nbrs []uint32) (src uint32, pos uint16) {
 	stream := rng.StreamOf(cfg.Seed, 0, uint64(v), uint64(t))
 	if len(nbrs) == 0 {
 		src = v // effective neighbor set {v}
 	} else {
 		src = nbrs[stream.Intn(len(nbrs))]
 	}
-	pos = int32(stream.Intn(t))
+	pos = uint16(stream.Intn(t))
 	return src, pos
 }
 
@@ -89,7 +89,7 @@ func (p *RepickPlan) Active() bool { return p.active }
 // source (oldSrc < 0 is the fresh-vertex sentinel). repicked is false when
 // the old pick survives (Category 1, or a kept Category 3 pick per
 // Theorem 4).
-func (p *RepickPlan) Slot(cfg Config, epoch uint64, t int32, oldSrc int32) (newSrc uint32, newPos int32, repicked bool) {
+func (p *RepickPlan) Slot(cfg Config, epoch uint64, t int32, oldSrc int32) (newSrc uint32, newPos uint16, repicked bool) {
 	removed := oldSrc < 0 || // fresh-vertex sentinel: must draw now
 		p.oldDeg == 0 || // src was the {v} placeholder, eff set replaced
 		p.newDeg == 0 || // all real neighbors gone
@@ -102,10 +102,10 @@ func (p *RepickPlan) Slot(cfg Config, epoch uint64, t int32, oldSrc int32) (newS
 		stream := rng.StreamOf(cfg.Seed, epoch, uint64(p.v), uint64(t))
 		if p.newDeg == 0 {
 			newSrc = p.v
-			newPos = int32(stream.Intn(int(t)))
+			newPos = uint16(stream.Intn(int(t)))
 		} else {
 			newSrc = p.newNbrs[stream.Intn(p.newDeg)]
-			newPos = int32(stream.Intn(int(t)))
+			newPos = uint16(stream.Intn(int(t)))
 		}
 		return newSrc, newPos, true
 	case len(p.arrivals) > 0:
@@ -118,7 +118,7 @@ func (p *RepickPlan) Slot(cfg Config, epoch uint64, t int32, oldSrc int32) (newS
 			return 0, 0, false // kept unchanged (Theorem 4 applies)
 		}
 		newSrc = p.arrivals[r-p.nu]
-		newPos = int32(stream.Intn(int(t)))
+		newPos = uint16(stream.Intn(int(t)))
 		return newSrc, newPos, true
 	default:
 		return 0, 0, false // Category 1: nothing relevant changed

@@ -62,26 +62,52 @@ type Config struct {
 // DefaultT is the iteration count the paper settles on for rSLPA.
 const DefaultT = 200
 
+// MaxT is the largest iteration count a State can hold: pick positions and
+// record iterations are stored as uint16 (see Record and State).
+const MaxT = 1<<16 - 1
+
+// TRangeError reports an iteration count outside [1, MaxT].
+type TRangeError struct{ T int }
+
+func (e *TRangeError) Error() string {
+	return fmt.Sprintf("core: config T=%d outside [1, %d]", e.T, MaxT)
+}
+
+// CheckT returns a *TRangeError unless t is an iteration count in [1, MaxT].
+func CheckT(t int) error {
+	if t <= 0 || t > MaxT {
+		return &TRangeError{T: t}
+	}
+	return nil
+}
+
 // Record is a reverse edge of the label propagation forest: it lives at the
 // *source* vertex and says "receiver Tar picked my label at position Pos to
-// be its label for iteration Iter" (the set R^Pos in Section IV-B).
+// be its label for iteration Iter" (the set R^Pos in Section IV-B). It is
+// 8 bytes: T ≤ MaxT bounds both Pos and Iter. Pos duplicates the target's
+// pos[Tar][Iter], but the cascades select a source's records by position,
+// and reading it there would cost a random access per record.
 type Record struct {
-	Pos  int32  // position of the picked label at the source
 	Tar  uint32 // receiving vertex
-	Iter int32  // iteration at which Tar picked it (always > Pos)
+	Pos  uint16 // position of the picked label at the source
+	Iter uint16 // iteration at which Tar picked it (always > Pos)
 }
 
 // State is the complete, updatable result of a propagation run: the label
 // matrix, the (src, pos) choices behind it, the reverse records, and the
 // graph it was computed on. Create one with Run; evolve it with Update.
 // A State is not safe for concurrent mutation.
+//
+// Per (vertex, iteration) it holds a u32 label, an i32 src, a u16 pos and
+// one 8-byte Record at the source: 18 bytes plus the record rows' headroom
+// (none after Run or a load; see AppendRecord for growth under Update).
 type State struct {
 	cfg Config
 	g   *graph.Graph
 
 	labels [][]uint32 // labels[v][0..T]; nil for never-seen vertex IDs
 	src    [][]int32  // src[v][t]; -1 = no recorded pick (fresh vertex)
-	pos    [][]int32  // pos[v][t]; parallel to src
+	pos    [][]uint16 // pos[v][t]; parallel to src, 0 under the -1 sentinel
 	recv   [][]Record // records stored at the source vertex
 
 	epoch uint64 // update-batch counter, part of repick stream derivation
@@ -96,16 +122,10 @@ type State struct {
 // is cloned; later mutations of g do not affect the State (feed them through
 // Update instead).
 func Run(g *graph.Graph, cfg Config) (*State, error) {
-	if cfg.T <= 0 {
-		return nil, fmt.Errorf("core: config T=%d must be positive", cfg.T)
+	if err := CheckT(cfg.T); err != nil {
+		return nil, err
 	}
-	s := &State{cfg: cfg, g: g.Clone()}
-	n := s.g.MaxVertexID()
-	s.labels = make([][]uint32, n)
-	s.src = make([][]int32, n)
-	s.pos = make([][]int32, n)
-	s.recv = make([][]Record, n)
-	s.g.ForEachVertex(func(v uint32) { s.initVertex(v) })
+	s := newState(g.Clone(), cfg)
 
 	// Label propagation: T synchronous iterations. Every pick reads only
 	// labels from iterations < t, so a single in-order sweep per level is
@@ -113,10 +133,25 @@ func Run(g *graph.Graph, cfg Config) (*State, error) {
 	for t := 1; t <= cfg.T; t++ {
 		s.g.ForEachVertex(func(v uint32) {
 			src, pos := InitialPick(s.cfg, v, t, s.g.Neighbors(v))
-			s.install(v, int32(t), src, pos)
+			s.setPick(v, t, src, pos)
 		})
 	}
+	s.buildRecords()
 	return s, nil
+}
+
+// newState allocates the per-vertex arrays of every vertex of g, with the
+// initial label l⁰_v = v and sentinel picks; the record rows stay nil until
+// buildRecords.
+func newState(g *graph.Graph, cfg Config) *State {
+	n := g.MaxVertexID()
+	s := &State{cfg: cfg, g: g}
+	s.labels = make([][]uint32, n)
+	s.src = make([][]int32, n)
+	s.pos = make([][]uint16, n)
+	s.recv = make([][]Record, n)
+	g.ForEachVertex(func(v uint32) { s.initVertex(v) })
+	return s
 }
 
 // initVertex allocates the per-vertex arrays with the initial label
@@ -125,38 +160,75 @@ func (s *State) initVertex(v uint32) {
 	t := s.cfg.T
 	labels := make([]uint32, t+1)
 	srcs := make([]int32, t+1)
-	poss := make([]int32, t+1)
 	for i := range labels {
 		labels[i] = v
 		srcs[i] = -1
-		poss[i] = -1
 	}
 	s.labels[v] = labels
 	s.src[v] = srcs
-	s.pos[v] = poss
+	s.pos[v] = make([]uint16, t+1)
 }
 
-// install sets vertex v's pick for iteration t to (src, pos), copying the
-// label value and appending the reverse record at the source.
-func (s *State) install(v uint32, t int32, src uint32, pos int32) {
+// setPick sets vertex v's pick for iteration t to (src, pos) and copies the
+// label value. The reverse record is left to buildRecords.
+func (s *State) setPick(v uint32, t int, src uint32, pos uint16) {
 	s.labels[v][t] = s.labels[src][pos]
 	s.src[v][t] = int32(src)
 	s.pos[v][t] = pos
-	s.recv[src] = append(s.recv[src], Record{Pos: pos, Tar: v, Iter: t})
 }
 
-// dropRecord removes the record {pos, v, t} from source vertex src's list.
-// It is a no-op if the record is absent (fresh-vertex sentinels).
-func (s *State) dropRecord(src uint32, pos int32, v uint32, t int32) {
-	list := s.recv[src]
-	for i, rec := range list {
-		if rec.Pos == pos && rec.Tar == v && rec.Iter == t {
-			last := len(list) - 1
-			list[i] = list[last]
-			s.recv[src] = list[:last]
-			return
+// buildRecords derives every reverse record from the picks, sizing each
+// source's row exactly: one sweep counts the picks per source, a second
+// fills the rows in (iteration, vertex) order — the order Algorithm 1
+// installs them in.
+func (s *State) buildRecords() {
+	count := make([]int32, len(s.recv))
+	s.g.ForEachVertex(func(v uint32) {
+		for _, src := range s.src[v][1:] {
+			if src >= 0 {
+				count[src]++
+			}
+		}
+	})
+	for v, n := range count {
+		if n > 0 {
+			s.recv[v] = make([]Record, 0, n)
 		}
 	}
+	for t := 1; t <= s.cfg.T; t++ {
+		s.g.ForEachVertex(func(v uint32) {
+			if src := s.src[v][t]; src >= 0 {
+				s.recv[src] = append(s.recv[src], Record{Tar: v, Pos: s.pos[v][t], Iter: uint16(t)})
+			}
+		})
+	}
+}
+
+// AppendRecord appends rec to a record row. A full row grows by
+// max(4, len/8) rather than append's doubling: rows are sized exactly at
+// construction, and doubling on the first Update append would hand back
+// most of that saving. Every record append after construction, in both
+// engines, goes through here.
+func AppendRecord(row []Record, rec Record) []Record {
+	if len(row) == cap(row) {
+		grown := make([]Record, len(row), len(row)+max(4, len(row)/8))
+		copy(grown, row)
+		row = grown
+	}
+	return append(row, rec)
+}
+
+// DropRecord removes rec from a record row by swap-removal. It is a no-op
+// if the record is absent (fresh-vertex sentinels).
+func DropRecord(row []Record, rec Record) []Record {
+	for i := range row {
+		if row[i] == rec {
+			last := len(row) - 1
+			row[i] = row[last]
+			return row[:last]
+		}
+	}
+	return row
 }
 
 // T returns the configured iteration count.
@@ -209,13 +281,13 @@ func (s *State) Clone() *State {
 	c := &State{cfg: s.cfg, g: s.g.Clone(), epoch: s.epoch}
 	c.labels = make([][]uint32, len(s.labels))
 	c.src = make([][]int32, len(s.src))
-	c.pos = make([][]int32, len(s.pos))
+	c.pos = make([][]uint16, len(s.pos))
 	c.recv = make([][]Record, len(s.recv))
 	for v := range s.labels {
 		if s.labels[v] != nil {
 			c.labels[v] = append([]uint32(nil), s.labels[v]...)
 			c.src[v] = append([]int32(nil), s.src[v]...)
-			c.pos[v] = append([]int32(nil), s.pos[v]...)
+			c.pos[v] = append([]uint16(nil), s.pos[v]...)
 		}
 		if s.recv[v] != nil {
 			c.recv[v] = append([]Record(nil), s.recv[v]...)

@@ -123,7 +123,7 @@ func (s *State) Update(batch []graph.Edit) UpdateStats {
 			// index here (profiled: map-based indexing tripled Update
 			// time on web graphs).
 			for _, rec := range s.recv[v] {
-				if rec.Pos == int32(t) {
+				if rec.Pos == uint16(t) {
 					a.dirty[rec.Iter] = append(a.dirty[rec.Iter], rec.Tar)
 				}
 			}
@@ -175,11 +175,11 @@ func (s *State) repickVertex(v uint32, dl DeltaList) int {
 			continue
 		}
 		if oldSrc >= 0 {
-			s.dropRecord(uint32(oldSrc), s.pos[v][t], v, t)
+			s.recv[oldSrc] = DropRecord(s.recv[oldSrc], Record{Tar: v, Pos: s.pos[v][t], Iter: uint16(t)})
 		}
 		s.src[v][t] = int32(newSrc)
 		s.pos[v][t] = newPos
-		s.recv[newSrc] = append(s.recv[newSrc], Record{Pos: newPos, Tar: v, Iter: t})
+		s.recv[newSrc] = AppendRecord(s.recv[newSrc], Record{Tar: v, Pos: newPos, Iter: uint16(t)})
 		a.dirty[t] = append(a.dirty[t], v)
 		repicked++
 	}

@@ -8,7 +8,7 @@ import "fmt"
 //     pos[v][t] < t, for every vertex and iteration;
 //  2. legality: src[v][t] is a current neighbor of v (or v itself when v is
 //     isolated, or the -1 sentinel on a still-fresh slot whose label must
-//     then be v's own);
+//     then be v's own and whose pos is 0);
 //  3. record symmetry: vertex tar has pick (src=s, pos=p) at iteration t if
 //     and only if s's record list contains exactly one {p, tar, t} entry.
 //
@@ -43,13 +43,14 @@ func (s *State) Validate() error {
 			if sv < 0 {
 				// Fresh sentinel: only legal while the sequence is the
 				// vertex's own label (isolated since creation).
-				if s.labels[v][t] != v {
-					failure = fmt.Errorf("core: vertex %d iter %d: sentinel pick but label %d != %d", v, t, s.labels[v][t], v)
+				if s.labels[v][t] != v || pv != 0 {
+					failure = fmt.Errorf("core: vertex %d iter %d: sentinel pick with label %d (want %d), pos %d (want 0)",
+						v, t, s.labels[v][t], v, pv)
 					return
 				}
 				continue
 			}
-			if pv < 0 || int(pv) >= t {
+			if int(pv) >= t {
 				failure = fmt.Errorf("core: vertex %d iter %d: pos %d out of [0,%d)", v, t, pv, t)
 				return
 			}
@@ -68,7 +69,7 @@ func (s *State) Validate() error {
 					v, t, s.labels[v][t], su, pv, s.labels[su][pv])
 				return
 			}
-			want[recKey{su, Record{Pos: pv, Tar: v, Iter: int32(t)}}]++
+			want[recKey{su, Record{Tar: v, Pos: pv, Iter: uint16(t)}}]++
 		}
 	})
 	if failure != nil {

@@ -100,6 +100,7 @@ func NewRSLPAFromCheckpoint(eng *cluster.Engine, c *core.Checkpoint) (*RSLPA, er
 		d.shards[w] = &shard{}
 	}
 	T := c.T
+	count := make([]int32, g.MaxVertexID())
 	c.Records(func(rec *core.VertexRecord) {
 		sh := d.shards[eng.Owner(rec.V)]
 		sh.addVertex(rec.V, T)
@@ -107,19 +108,30 @@ func NewRSLPAFromCheckpoint(eng *cluster.Engine, c *core.Checkpoint) (*RSLPA, er
 		copy(sh.labels[rec.V][1:], rec.Labels)
 		copy(sh.src[rec.V][1:], rec.Src)
 		copy(sh.pos[rec.V][1:], rec.Pos)
+		for _, sv := range rec.Src {
+			if sv >= 0 {
+				count[sv]++
+			}
+		}
 	})
 	// Rebuild the reverse records at the owner of each pick's source — the
-	// placement live propagation uses (records live where the source lives).
+	// placement live propagation uses (records live where the source lives)
+	// — in rows sized exactly by the count above.
+	for sv, n := range count {
+		if n > 0 {
+			sh := d.shards[eng.Owner(uint32(sv))]
+			sh.growTo(uint32(sv))
+			sh.recv[sv] = make([]core.Record, 0, n)
+		}
+	}
 	c.Records(func(rec *core.VertexRecord) {
-		for i := 0; i < T; i++ {
-			sv := rec.Src[i]
+		for i, sv := range rec.Src {
 			if sv < 0 {
 				continue
 			}
 			sh := d.shards[eng.Owner(uint32(sv))]
-			sh.growTo(uint32(sv))
 			sh.recv[sv] = append(sh.recv[sv], core.Record{
-				Pos: rec.Pos[i], Tar: rec.V, Iter: int32(i + 1),
+				Tar: rec.V, Pos: rec.Pos[i], Iter: uint16(i + 1),
 			})
 		}
 	})

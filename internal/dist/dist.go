@@ -111,7 +111,7 @@ type shard struct {
 	adj    [][]uint32
 	labels [][]uint32
 	src    [][]int32
-	pos    [][]int32
+	pos    [][]uint16 // 0 under a -1 src, as in core.State
 	recv   [][]core.Record
 	owned  []uint32 // owned present vertices, the per-round iteration order
 }
@@ -140,15 +140,13 @@ func (sh *shard) addVertex(v uint32, T int) {
 	if sh.labels[v] == nil {
 		labels := make([]uint32, T+1)
 		srcs := make([]int32, T+1)
-		poss := make([]int32, T+1)
 		for i := range labels {
 			labels[i] = v
 			srcs[i] = -1
-			poss[i] = -1
 		}
 		sh.labels[v] = labels
 		sh.src[v] = srcs
-		sh.pos[v] = poss
+		sh.pos[v] = make([]uint16, T+1)
 	}
 }
 
@@ -179,20 +177,6 @@ func (sh *shard) removeNbr(u, v uint32) {
 			last := len(list) - 1
 			list[i] = list[last]
 			sh.adj[u] = list[:last]
-			return
-		}
-	}
-}
-
-// dropRecord removes the record {pos, tar, iter} from source vertex src's
-// list (no-op when absent), mirroring core.State.dropRecord.
-func (sh *shard) dropRecord(src uint32, pos int32, tar uint32, iter int32) {
-	list := sh.recv[src]
-	for i, rec := range list {
-		if rec.Pos == pos && rec.Tar == tar && rec.Iter == iter {
-			last := len(list) - 1
-			list[i] = list[last]
-			sh.recv[src] = list[:last]
 			return
 		}
 	}

@@ -54,8 +54,8 @@ func NewRSLPA(eng *cluster.Engine, g *graph.Graph, cfg core.Config) (*RSLPA, err
 	if eng == nil {
 		return nil, fmt.Errorf("dist: nil engine")
 	}
-	if cfg.T <= 0 {
-		return nil, fmt.Errorf("dist: config T=%d must be positive", cfg.T)
+	if err := core.CheckT(cfg.T); err != nil {
+		return nil, err
 	}
 	d := &RSLPA{eng: eng, cfg: cfg, g: g.Clone()}
 	d.shards = make([]*shard, eng.Workers())
@@ -125,7 +125,7 @@ func (d *RSLPA) Propagate() error {
 		for _, m := range inbox {
 			tar, iter := m.Payload[0], m.Payload[1]
 			sh.recv[m.A] = append(sh.recv[m.A], core.Record{
-				Pos: int32(m.B), Tar: tar, Iter: int32(iter),
+				Tar: tar, Pos: uint16(m.B), Iter: uint16(iter),
 			})
 			emit(d.eng.Owner(tar), cluster.Message{
 				Kind: kindPickRep, A: tar, B: iter, Payload: []uint32{sh.labels[m.A][m.B]},
@@ -135,6 +135,15 @@ func (d *RSLPA) Propagate() error {
 	}
 	if _, err := d.eng.RunRounds(step, 2*T+1); err != nil {
 		return err
+	}
+	// Rows grew by append's doubling; size them exactly, as core.Run does.
+	// Later appends go through core.AppendRecord's bounded growth.
+	for _, sh := range d.shards {
+		for v, row := range sh.recv {
+			if cap(row) > len(row) {
+				sh.recv[v] = append(make([]core.Record, 0, len(row)), row...)
+			}
+		}
 	}
 	d.run = true
 	d.PropagateStats = phaseStats(T, d.eng.Stats().Sub(before))
@@ -295,10 +304,12 @@ func (d *RSLPA) correct(seed func(w int, sh *shard, sc *updScratch, emit cluster
 			for _, m := range inbox {
 				switch m.Kind {
 				case kindDropRec:
-					sh.dropRecord(m.A, int32(m.B), m.Payload[0], int32(m.Payload[1]))
+					sh.recv[m.A] = core.DropRecord(sh.recv[m.A], core.Record{
+						Tar: m.Payload[0], Pos: uint16(m.B), Iter: uint16(m.Payload[1]),
+					})
 				case kindAddRec:
-					sh.recv[m.A] = append(sh.recv[m.A], core.Record{
-						Pos: int32(m.B), Tar: m.Payload[0], Iter: int32(m.Payload[1]),
+					sh.recv[m.A] = core.AppendRecord(sh.recv[m.A], core.Record{
+						Tar: m.Payload[0], Pos: uint16(m.B), Iter: uint16(m.Payload[1]),
 					})
 				case kindDirty:
 					sc.mark(m.A, int32(m.B))
@@ -466,15 +477,16 @@ func (d *RSLPA) runFusedLevel(sh *shard, sc *updScratch, w int, lvl int32, emit 
 // for them.
 func (d *RSLPA) cascade(sh *shard, sc *updScratch, w int, v uint32, t int32, emit cluster.Emitter) {
 	for _, rec := range sh.recv[v] {
-		if rec.Pos != t {
+		if int32(rec.Pos) != t {
 			continue
 		}
+		iter := int32(rec.Iter)
 		if owner := d.eng.Owner(rec.Tar); owner == w {
-			sc.mark(rec.Tar, rec.Iter)
+			sc.mark(rec.Tar, iter)
 		} else {
-			emit(owner, cluster.Message{Kind: kindDirty, A: rec.Tar, B: uint32(rec.Iter)})
-			if rec.Iter < sc.remoteMin {
-				sc.remoteMin = rec.Iter
+			emit(owner, cluster.Message{Kind: kindDirty, A: rec.Tar, B: uint32(iter)})
+			if iter < sc.remoteMin {
+				sc.remoteMin = iter
 			}
 		}
 	}

@@ -85,7 +85,7 @@ const (
 // Config configures rSLPA detection.
 type Config struct {
 	// T is the number of label propagation iterations; 0 means the
-	// paper's default of 200.
+	// paper's default of 200. At most MaxT.
 	T int
 	// Seed drives all randomness; a given (graph, Config) is fully
 	// deterministic, including across Workers/TCP settings.
@@ -102,6 +102,13 @@ type Config struct {
 	// of in-memory queues (only meaningful with Workers > 1).
 	TCP bool
 }
+
+// MaxT is the largest Config.T detection accepts: the detector stores pick
+// positions and iterations as 16-bit values.
+const MaxT = core.MaxT
+
+// TRangeError is the error Detect returns for a Config.T outside [1, MaxT].
+type TRangeError = core.TRangeError
 
 func (c Config) withDefaults() Config {
 	if c.T == 0 {
@@ -146,6 +153,9 @@ type Detector struct {
 // apply subsequent changes through Update.
 func Detect(g *Graph, cfg Config) (*Detector, error) {
 	cfg = cfg.withDefaults()
+	if err := core.CheckT(cfg.T); err != nil {
+		return nil, err // before a distributed engine is started
+	}
 	d := &Detector{cfg: cfg}
 	if cfg.Workers <= 1 {
 		st, err := core.Run(g, core.Config{T: cfg.T, Seed: cfg.Seed})
