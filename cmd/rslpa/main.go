@@ -15,9 +15,6 @@
 // -follow it runs a read-only follower instead: it bootstraps from the
 // writer's checkpoint, tails the writer's replication feed, and serves
 // the same read endpoints from local snapshots.
-//
-// Invoking rslpa with flags but no subcommand behaves as detect, for
-// compatibility with earlier versions.
 package main
 
 import (
@@ -32,24 +29,21 @@ import (
 )
 
 func main() {
-	args := os.Args[1:]
-	if len(args) > 0 {
-		switch args[0] {
-		case "detect":
-			runDetect(args[1:])
-			return
-		case "serve":
-			runServe(args[1:])
-			return
-		case "version", "-version", "--version":
-			printVersion()
-			return
-		case "help", "-h", "-help", "--help":
-			fmt.Fprintln(os.Stderr, "usage: rslpa <detect|serve|version> [flags]  (run with -h after a subcommand for its flags)")
-			os.Exit(2)
-		}
+	var cmd string
+	if len(os.Args) > 1 {
+		cmd = os.Args[1]
 	}
-	runDetect(args) // legacy: bare flags mean detect
+	switch cmd {
+	case "detect":
+		runDetect(os.Args[2:])
+	case "serve":
+		runServe(os.Args[2:])
+	case "version", "-version", "--version":
+		printVersion()
+	default:
+		fmt.Fprintln(os.Stderr, "usage: rslpa <detect|serve|version> [flags]  (run with -h after a subcommand for its flags)")
+		os.Exit(2)
+	}
 }
 
 // printVersion reports the binary's build identity (module version, VCS

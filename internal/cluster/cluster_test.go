@@ -217,40 +217,6 @@ func TestStepErrorPropagates(t *testing.T) {
 	}
 }
 
-func TestAllReduceMin(t *testing.T) {
-	e, err := New(Config{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	before := e.Stats()
-	got := e.AllReduceMin([]float64{3.5, -1.25, 7, 0})
-	if got != -1.25 {
-		t.Fatalf("min = %v", got)
-	}
-	d := e.Stats().Sub(before)
-	if d.Messages != 8 || d.Rounds != 2 {
-		t.Fatalf("allreduce charged %+v", d)
-	}
-}
-
-// TestAllReduceMinSingleWorker: a P=1 reduce is a local no-op and must not
-// charge rounds, messages or bytes.
-func TestAllReduceMinSingleWorker(t *testing.T) {
-	e, err := New(Config{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	before := e.Stats()
-	if got := e.AllReduceMin([]float64{2.5}); got != 2.5 {
-		t.Fatalf("min = %v", got)
-	}
-	if d := e.Stats().Sub(before); d != (Stats{}) {
-		t.Fatalf("single-worker allreduce charged %+v", d)
-	}
-}
-
 // TestRunRoundsDiscardsFinalRoundMessages pins RunRounds' documented
 // semantics: messages emitted in the final round never cross the transport
 // and are not charged to Stats.Messages or Stats.Bytes.

@@ -196,24 +196,3 @@ func (e *Engine) run(step StepFunc, maxRounds int) (int, error) {
 		inboxes = in
 	}
 }
-
-// AllReduceMin performs a global minimum over one float64 per worker,
-// modelling the aggregation tree a real cluster would use: every worker
-// sends its value to worker 0, which reduces and broadcasts back. The 2P
-// messages and 2 rounds are charged to the engine's stats. A single-worker
-// "cluster" already holds the answer locally, so P=1 charges nothing.
-func (e *Engine) AllReduceMin(vals []float64) float64 {
-	p := e.cfg.Workers
-	min := vals[0]
-	for _, v := range vals[1:] {
-		if v < min {
-			min = v
-		}
-	}
-	if p > 1 {
-		e.stats.Rounds += 2
-		e.stats.Messages += int64(2 * p)
-		e.stats.Bytes += int64(2*p) * 8
-	}
-	return min
-}

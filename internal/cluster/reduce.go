@@ -1,15 +1,15 @@
 package cluster
 
-// Piggybacked all-reduce. AllReduceMin (engine.go) models the classic
-// aggregation tree: 2 dedicated rounds and 2P messages per reduction. For
-// per-round agreement decisions — "which correction level does the cluster
-// process next?" — paying a barrier per decision would erase the win the
-// decision buys, so the sparse Update schedule uses this barrier-free
-// variant instead: every worker appends one header-only ballot per peer to
-// whatever superstep it is already emitting from, and every worker folds
-// the P ballots out of its next inbox. The agreement costs zero extra
-// rounds and P² header-only messages per reduced round, the right trade at
-// the small worker counts BSP rounds are expensive for.
+// Piggybacked all-reduce. The classic aggregation tree costs 2 dedicated
+// rounds and 2P messages per reduction. For per-round agreement decisions
+// — "which correction level does the cluster process next?" — paying a
+// barrier per decision would erase the win the decision buys, so the
+// sparse Update schedule uses this barrier-free form instead: every worker
+// appends one header-only ballot per peer to whatever superstep it is
+// already emitting from, and every worker folds the P ballots out of its
+// next inbox. The agreement costs zero extra rounds and P² header-only
+// messages per reduced round, the right trade at the small worker counts
+// BSP rounds are expensive for.
 
 // AllMinIdle is the ballot value meaning "I have no candidate". Workers
 // with nothing to contribute simply do not vote — in BSP, silence is as

@@ -233,8 +233,8 @@ func (s *State) Checkpoint() *Checkpoint {
 }
 
 // SaveCheckpoint writes the State to w in the sharded container format
-// (version 2, single shard). Unlike the legacy Save stream, a version-2
-// checkpoint can be loaded into a detector of ANY worker count.
+// (version 2, single shard), which loads into a detector of ANY worker
+// count.
 func (s *State) SaveCheckpoint(w io.Writer) error {
 	c := s.Checkpoint()
 	return WriteCheckpoint(w, c.CheckpointMeta, [][]byte{EncodeShard(c.T, c.Shards[0])})

@@ -603,24 +603,3 @@ func TestDirtySetContract(t *testing.T) {
 		t.Fatalf("Dirty has %d vertices for %d edits touching %d labels", len(stats.Dirty), len(batch), stats.Touched)
 	}
 }
-
-// TestSortedDirty covers the set-to-slice helper directly.
-func TestSortedDirty(t *testing.T) {
-	if got := SortedDirty(nil); got != nil {
-		t.Fatalf("SortedDirty(nil) = %v", got)
-	}
-	if got := SortedDirty(map[uint32]struct{}{}); got != nil {
-		t.Fatalf("SortedDirty(empty) = %v", got)
-	}
-	set := map[uint32]struct{}{9: {}, 1: {}, 4096: {}, 0: {}}
-	got := SortedDirty(set)
-	want := []uint32{0, 1, 9, 4096}
-	if len(got) != len(want) {
-		t.Fatalf("SortedDirty = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("SortedDirty = %v, want %v", got, want)
-		}
-	}
-}

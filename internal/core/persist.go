@@ -1,9 +1,7 @@
 package core
 
 import (
-	"bufio"
 	"encoding/binary"
-	"fmt"
 	"io"
 )
 
@@ -13,6 +11,8 @@ import (
 // integers are little-endian; u32/u64 denote 32/64-bit unsigned fields.
 //
 // ## Version 1 — legacy sequential stream (magic "RSLPA1\n")
+//
+// Read-only, for files written by older builds.
 //
 //	magic   7 bytes  "RSLPA1\n"
 //	header  5 × u64  T, seed, epoch, idSpace, present-vertex count
@@ -73,49 +73,11 @@ import (
 //     (or merge them into a sequential State), so a checkpoint saved at any
 //     P loads at any other P, on any transport.
 //
-// The version-2 implementation lives in checkpoint.go; this file keeps the
-// legacy version-1 stream working and routes loads through the shared
-// decoder.
+// Both decoders and the version-2 writer live in checkpoint.go.
 
+// persistMagic opens a version-1 stream, which ReadCheckpoint reads and
+// nothing writes.
 const persistMagic = "RSLPA1\n"
-
-// Save writes the State to w in the legacy version-1 stream (sequential,
-// single blob). The State is unchanged. Prefer SaveCheckpoint for new
-// writers: version 2 is what distributed detectors produce and load.
-func (s *State) Save(w io.Writer) error {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	if _, err := bw.WriteString(persistMagic); err != nil {
-		return fmt.Errorf("core: save: %w", err)
-	}
-	hdr := []uint64{uint64(s.cfg.T), s.cfg.Seed, s.epoch, uint64(len(s.labels)), uint64(s.g.NumVertices())}
-	for _, x := range hdr {
-		if err := writeU64(bw, x); err != nil {
-			return err
-		}
-	}
-	var failure error
-	var buf []byte
-	s.g.ForEachVertex(func(v uint32) {
-		if failure != nil {
-			return
-		}
-		rec := VertexRecord{
-			V:      v,
-			Nbrs:   s.g.Neighbors(v),
-			Labels: s.labels[v][1:],
-			Src:    s.src[v][1:],
-			Pos:    s.pos[v][1:],
-		}
-		buf = appendVertexRecord(buf[:0], &rec)
-		if _, err := bw.Write(buf); err != nil {
-			failure = err
-		}
-	})
-	if failure != nil {
-		return fmt.Errorf("core: save: %w", failure)
-	}
-	return bw.Flush()
-}
 
 // Load reads a checkpoint in either format version and reconstructs the
 // State, including the reverse records and the graph with its exact saved

@@ -7,25 +7,30 @@ import (
 	"rslpa/internal/graph"
 )
 
-// fuzzSeedBlobs builds the seed corpus: one valid legacy (v1) stream, one
-// valid sharded (v2) container, a header with T = MaxT+1, systematic
-// truncations of both valid streams, and bit-flipped variants at
-// spread-out offsets. The fuzzer mutates from
+// fuzzSeedState builds the small detector history the seed corpus (and the
+// v1_fuzzseed.ckpt fixture) encodes.
+func fuzzSeedState(tb testing.TB) *State {
+	tb.Helper()
+	g := randomGraph(40, 90, 12)
+	st, err := Run(g, Config{T: 7, Seed: 3})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	st.Update([]graph.Edit{{Op: graph.Insert, U: 1, V: 39}, {Op: graph.Delete, U: 0, V: g.Neighbors(0)[0]}})
+	return st
+}
+
+// fuzzSeedBlobs builds the seed corpus: one valid legacy (v1) stream (the
+// committed fixture of fuzzSeedState), one valid sharded (v2) container, a
+// header with T = MaxT+1, systematic truncations of both valid streams,
+// and bit-flipped variants at spread-out offsets. The fuzzer mutates from
 // there; the target's only contract is error-not-panic with bounded
 // allocation.
 func fuzzSeedBlobs(f *testing.F) [][]byte {
 	f.Helper()
-	g := randomGraph(40, 90, 12)
-	st, err := Run(g, Config{T: 7, Seed: 3})
-	if err != nil {
-		f.Fatal(err)
-	}
-	st.Update([]graph.Edit{{Op: graph.Insert, U: 1, V: 39}, {Op: graph.Delete, U: 0, V: g.Neighbors(0)[0]}})
-
-	var v1, v2 bytes.Buffer
-	if err := st.Save(&v1); err != nil {
-		f.Fatal(err)
-	}
+	st := fuzzSeedState(f)
+	v1 := bytes.NewBuffer(readFixture(f, "v1_fuzzseed.ckpt"))
+	var v2 bytes.Buffer
 	if err := st.SaveCheckpoint(&v2); err != nil {
 		f.Fatal(err)
 	}

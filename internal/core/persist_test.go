@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -16,7 +18,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	orig.Update([]graph.Edit{{Op: graph.Insert, U: 0, V: 149}})
 
 	var buf bytes.Buffer
-	if err := orig.Save(&buf); err != nil {
+	if err := orig.SaveCheckpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := Load(&buf)
@@ -53,7 +55,7 @@ func TestLoadedStateUpdatable(t *testing.T) {
 	g := randomGraph(80, 200, 17)
 	orig := mustRun(t, g, Config{T: 15, Seed: 5})
 	var buf bytes.Buffer
-	if err := orig.Save(&buf); err != nil {
+	if err := orig.SaveCheckpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := Load(&buf)
@@ -69,14 +71,21 @@ func TestLoadedStateUpdatable(t *testing.T) {
 	}
 }
 
-func TestSaveLoadWithSentinels(t *testing.T) {
-	// A fresh isolated vertex keeps -1 sentinels; they must survive.
+// sentinelState is a one-edge graph at T = 8 plus the isolated vertex 5,
+// whose fresh picks are all -1 sentinels (the v1_sentinel.ckpt history).
+func sentinelState(t *testing.T) *State {
+	t.Helper()
 	g := graph.New()
 	g.AddEdge(0, 1)
 	st := mustRun(t, g, Config{T: 8, Seed: 2})
 	st.AddVertex(5)
+	return st
+}
+
+func TestSaveLoadWithSentinels(t *testing.T) {
+	// A fresh isolated vertex keeps -1 sentinels; they must survive.
 	var buf bytes.Buffer
-	if err := st.Save(&buf); err != nil {
+	if err := sentinelState(t).SaveCheckpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := Load(&buf)
@@ -91,21 +100,18 @@ func TestSaveLoadWithSentinels(t *testing.T) {
 	}
 }
 
-// TestLoadWirePositions pins the mapping between the wire's u32 positions
-// and the State's u16 ones: a sentinel's negative wire pos loads as 0 and
-// re-saves as -1, while every position the wire can carry but a pick cannot
-// hold is rejected.
+// TestLoadWirePositions pins the mapping between the version-1 wire's u32
+// positions and the State's u16 ones: a sentinel's negative wire pos loads
+// as 0 and re-saves as -1, while every position the wire can carry but a
+// pick cannot hold is rejected. The stream is the v1_sentinel.ckpt fixture,
+// written from sentinelState.
 func TestLoadWirePositions(t *testing.T) {
 	const T = 8
-	g := graph.New()
-	g.AddEdge(0, 1)
-	st := mustRun(t, g, Config{T: T, Seed: 2})
-	st.AddVertex(5)
-	var buf bytes.Buffer
-	if err := st.Save(&buf); err != nil {
+	full := readFixture(t, "v1_sentinel.ckpt")
+	var want bytes.Buffer
+	if err := mustLoad(t, full).SaveCheckpoint(&want); err != nil {
 		t.Fatal(err)
 	}
-	full := buf.Bytes()
 	// Legacy stream: 7-byte magic, 5 × u64 header, then the records of
 	// vertices 0 (degree 1), 1 (degree 1) and 5 (degree 0) in that order.
 	recBytes := func(deg int) int { return 4 * (2 + deg + 3*T) }
@@ -139,13 +145,61 @@ func TestLoadWirePositions(t *testing.T) {
 			t.Fatalf("%s: %v", c.name, err)
 		}
 		var resaved bytes.Buffer
-		if err := loaded.Save(&resaved); err != nil {
+		if err := loaded.SaveCheckpoint(&resaved); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(resaved.Bytes(), full) {
-			t.Fatalf("%s: re-save differs from the original stream", c.name)
+		if !bytes.Equal(resaved.Bytes(), want.Bytes()) {
+			t.Fatalf("%s: re-save differs from the unmutated stream's", c.name)
 		}
 	}
+}
+
+// TestLoadLegacyFixtures is the version-1 migration check. Each committed
+// stream was written by the version-1 writer of an older build from the
+// history rebuilt here; it must still load, validate, and re-save as
+// version 2 to exactly the bytes that history's own state saves.
+func TestLoadLegacyFixtures(t *testing.T) {
+	for _, c := range []struct {
+		file  string
+		build func() *State
+	}{
+		{"v1_fuzzseed.ckpt", func() *State { return fuzzSeedState(t) }},
+		{"v1_sentinel.ckpt", func() *State { return sentinelState(t) }},
+	} {
+		loaded := mustLoad(t, readFixture(t, c.file))
+		if err := loaded.Validate(); err != nil {
+			t.Fatalf("%s: %v", c.file, err)
+		}
+		var got, want bytes.Buffer
+		if err := loaded.SaveCheckpoint(&got); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.build().SaveCheckpoint(&want); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("%s: migrated checkpoint differs from the rebuilt history's", c.file)
+		}
+	}
+}
+
+// readFixture returns a committed checkpoint from testdata/.
+func readFixture(t testing.TB, name string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+func mustLoad(t *testing.T, b []byte) *State {
+	t.Helper()
+	st, err := Load(bytes.NewReader(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
 }
 
 func TestLoadRejectsGarbage(t *testing.T) {
@@ -165,7 +219,7 @@ func TestLoadRejectsTruncatedBody(t *testing.T) {
 	g := randomGraph(30, 60, 3)
 	st := mustRun(t, g, Config{T: 10, Seed: 1})
 	var buf bytes.Buffer
-	if err := st.Save(&buf); err != nil {
+	if err := st.SaveCheckpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
@@ -185,11 +239,13 @@ func TestLoadRejectsCorruptSource(t *testing.T) {
 	g := randomGraph(20, 40, 9)
 	st := mustRun(t, g, Config{T: 6, Seed: 4})
 	var buf bytes.Buffer
-	if err := st.Save(&buf); err != nil {
+	if err := st.SaveCheckpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
-	for off := len(persistMagic) + 40; off < len(full); off += 97 {
+	// Start past the container header, the one-entry shard index and the
+	// shard's digest and count: the flips land in the vertex records.
+	for off := len(checkpointMagic) + 8*(6+1) + 16; off < len(full); off += 97 {
 		mut := append([]byte(nil), full...)
 		mut[off] ^= 0xff
 		loaded, err := Load(bytes.NewReader(mut))
@@ -243,32 +299,26 @@ func TestLoadedStateResumesBitIdentically(t *testing.T) {
 	}
 	twin.Update(churn)
 
-	for _, save := range []func(*State, *bytes.Buffer) error{
-		func(s *State, b *bytes.Buffer) error { return s.Save(b) },           // legacy v1
-		func(s *State, b *bytes.Buffer) error { return s.SaveCheckpoint(b) }, // sharded v2
-	} {
-		var buf bytes.Buffer
-		if err := save(twin, &buf); err != nil {
-			t.Fatal(err)
-		}
-		loaded, err := Load(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resume := []graph.Edit{
-			{Op: graph.Insert, U: 7, V: 93},
-			{Op: graph.Delete, U: 0, V: twin.Graph().Neighbors(0)[0]},
-			{Op: graph.Insert, U: 50, V: 150}, // brand-new vertex after restore
-		}
-		twinCopy := twin.Clone()
-		s1 := twinCopy.Update(resume)
-		s2 := loaded.Update(resume)
-		if !reflect.DeepEqual(s1, s2) {
-			t.Fatalf("update stats diverged: %+v vs %+v", s1, s2)
-		}
-		if !twinCopy.EqualLabels(loaded) {
-			t.Fatal("restored state diverged from the never-restarted twin")
-		}
+	var buf bytes.Buffer
+	if err := twin.SaveCheckpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resume := []graph.Edit{
+		{Op: graph.Insert, U: 7, V: 93},
+		{Op: graph.Delete, U: 0, V: twin.Graph().Neighbors(0)[0]},
+		{Op: graph.Insert, U: 50, V: 150}, // brand-new vertex after restore
+	}
+	s1 := twin.Update(resume)
+	s2 := loaded.Update(resume)
+	if !reflect.DeepEqual(s1, s2) {
+		t.Fatalf("update stats diverged: %+v vs %+v", s1, s2)
+	}
+	if !twin.EqualLabels(loaded) {
+		t.Fatal("restored state diverged from the never-restarted twin")
 	}
 }
 

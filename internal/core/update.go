@@ -138,21 +138,6 @@ func (s *State) Update(batch []graph.Edit) UpdateStats {
 	return stats
 }
 
-// SortedDirty flattens a dirty-vertex set into the canonical UpdateStats
-// form: ascending IDs, nil when empty. Shared with the distributed driver
-// so both modes report identical sets.
-func SortedDirty(set map[uint32]struct{}) []uint32 {
-	if len(set) == 0 {
-		return nil
-	}
-	out := make([]uint32, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	slices.Sort(out)
-	return out
-}
-
 // repickVertex applies the Category 1/2/3 analysis to every label slot of
 // an affected vertex. dl is the vertex's sorted net neighbor delta. Slots
 // that get a new (src, pos) are marked dirty in the arena's level queues.

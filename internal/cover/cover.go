@@ -38,27 +38,6 @@ func FromCommunities(comms [][]uint32) *Cover {
 	return c
 }
 
-// FromMembership builds a cover from a vertex -> community-IDs assignment.
-// Community IDs may be arbitrary; they are compacted.
-func FromMembership(member map[uint32][]int) *Cover {
-	byComm := make(map[int][]uint32)
-	for v, cs := range member {
-		for _, id := range cs {
-			byComm[id] = append(byComm[id], v)
-		}
-	}
-	ids := make([]int, 0, len(byComm))
-	for id := range byComm {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	c := New(len(ids))
-	for _, id := range ids {
-		c.Add(byComm[id])
-	}
-	return c
-}
-
 // Add appends a community. Members are copied, sorted and de-duplicated;
 // an empty community is ignored. It returns the community's index, or -1
 // if it was ignored.
@@ -248,18 +227,6 @@ func (c *Cover) RemoveSubsets() *Cover {
 		kept.Add(members)
 	}
 	return kept
-}
-
-// FilterMinSize returns a cover containing only communities with at least
-// minSize members.
-func (c *Cover) FilterMinSize(minSize int) *Cover {
-	out := New(c.Len())
-	for _, members := range c.communities {
-		if len(members) >= minSize {
-			out.Add(members)
-		}
-	}
-	return out
 }
 
 // Read parses a cover in the common "one community per line, members

@@ -29,22 +29,6 @@ func TestAddSortsAndDedupes(t *testing.T) {
 	}
 }
 
-func TestFromMembershipRoundTrip(t *testing.T) {
-	m := map[uint32][]int{
-		1: {0},
-		2: {0, 1},
-		3: {1},
-	}
-	c := FromMembership(m)
-	if c.Len() != 2 {
-		t.Fatalf("communities = %d", c.Len())
-	}
-	back := c.Membership()
-	if len(back[2]) != 2 || len(back[1]) != 1 {
-		t.Fatalf("membership: %v", back)
-	}
-}
-
 func TestSizesAndCovered(t *testing.T) {
 	c := FromCommunities([][]uint32{{1, 2, 3}, {3, 4}})
 	sizes := c.Sizes()
@@ -98,13 +82,6 @@ func TestRemoveSubsets(t *testing.T) {
 	r := c.RemoveSubsets()
 	if r.Len() != 2 {
 		t.Fatalf("kept %d communities: %v", r.Len(), r.Canonical())
-	}
-}
-
-func TestFilterMinSize(t *testing.T) {
-	c := FromCommunities([][]uint32{{1}, {1, 2}, {1, 2, 3}})
-	if got := c.FilterMinSize(2).Len(); got != 2 {
-		t.Fatalf("filtered = %d", got)
 	}
 }
 

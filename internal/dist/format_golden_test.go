@@ -12,13 +12,13 @@ import (
 	"rslpa/internal/lfr"
 )
 
-// Golden SHA-256 digests of the checkpoint bytes the fixture in
+// Golden SHA-256 digests of the version-2 checkpoint bytes the fixture in
 // TestCheckpointFormatGolden saves. They pin the wire format: the in-memory
 // layout may narrow or re-order its fields, but a save must keep producing
-// these exact bytes (pos as u32, -1 under a fresh-vertex sentinel).
+// these exact bytes (pos as u32, -1 under a fresh-vertex sentinel). The
+// read-only version-1 format is pinned by core's TestLoadLegacyFixtures.
 const (
 	goldenSaveCheckpoint = "0f59fd9c647a755eede98b7a89157b4dc937f803a1edb141432bc0309f931058"
-	goldenSaveLegacy     = "3052feb2677703fe5cbabdf37b4bdd7a0fc152ade3bb00086056cdab153b8378"
 	goldenSaveDist2      = "d588e2a3a303cd0c72157ec7aefc534cf6de41e3afb41c5ee06960498e4f6e8a"
 )
 
@@ -29,10 +29,10 @@ func sha(b []byte) string {
 
 // TestCheckpointFormatGolden saves a fixed history — LFR 2 000, an isolated
 // AddVertex (so fresh-vertex sentinels reach the wire) and five edit
-// batches — from the sequential engine in both format versions and from a
-// 2-worker distributed detector, and compares the bytes with digests taken
-// before the state layout changed. The distributed save must also reload
-// into a sequential State that re-saves to the sequential bytes exactly.
+// batches — from the sequential engine and from a 2-worker distributed
+// detector, and compares the bytes with digests taken before the state
+// layout changed. The distributed save must also reload into a sequential
+// State that re-saves to the sequential bytes exactly.
 func TestCheckpointFormatGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a 2000-vertex fixture")
@@ -74,11 +74,8 @@ func TestCheckpointFormatGolden(t *testing.T) {
 		t.Fatalf("isolated vertex %d holds a pick from %d; the fixture needs a sentinel", isolated, src)
 	}
 
-	var v2, v1, dist2 bytes.Buffer
+	var v2, dist2 bytes.Buffer
 	if err := seq.SaveCheckpoint(&v2); err != nil {
-		t.Fatal(err)
-	}
-	if err := seq.Save(&v1); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Save(&dist2); err != nil {
@@ -89,7 +86,6 @@ func TestCheckpointFormatGolden(t *testing.T) {
 		got        []byte
 	}{
 		{"SaveCheckpoint", goldenSaveCheckpoint, v2.Bytes()},
-		{"Save (legacy)", goldenSaveLegacy, v1.Bytes()},
 		{"2-worker dist Save", goldenSaveDist2, dist2.Bytes()},
 	} {
 		if got := sha(c.got); got != c.want {

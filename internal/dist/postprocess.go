@@ -397,11 +397,10 @@ func unpackRuns(words []uint32) ([]uint32, error) {
 	return runs, nil
 }
 
-// reduceCountForest is postprocess.ReduceForest over integer counts: keep a
-// maximum-count spanning forest of the edges whose weight reaches tau2.
-// Count order equals weight order (the conversion is strictly monotonic),
-// so the forest preserves connectivity at every threshold ≥ τ₂; the Kruskal
-// kernel itself is shared with the sequential reduction.
+// reduceCountForest keeps a maximum-count spanning forest of the edges
+// whose weight reaches tau2, through postprocess.ReduceForestBy's Kruskal
+// kernel. Count order equals weight order (the conversion is strictly
+// monotonic), so the forest preserves connectivity at every threshold ≥ τ₂.
 func reduceCountForest(edges []countEdge, tau2 float64, weightOf func(uint32) float64) []countEdge {
 	return postprocess.ReduceForestBy(edges,
 		func(e countEdge) bool { return weightOf(e.count) >= tau2 },

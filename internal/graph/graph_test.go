@@ -231,18 +231,6 @@ func TestComputeStats(t *testing.T) {
 	}
 }
 
-func TestDegreeHistogram(t *testing.T) {
-	g := New()
-	g.AddEdge(0, 1)
-	g.AddEdge(0, 2)
-	g.AddVertex(5)
-	degrees, counts := g.DegreeHistogram()
-	// degrees: 0 (vertex 5), 1 (vertices 1,2), 2 (vertex 0)
-	if len(degrees) != 3 || degrees[0] != 0 || counts[0] != 1 || degrees[1] != 1 || counts[1] != 2 || degrees[2] != 2 || counts[2] != 1 {
-		t.Fatalf("histogram: %v %v", degrees, counts)
-	}
-}
-
 // TestRandomOpsInvariant drives random mutations and re-validates.
 func TestRandomOpsInvariant(t *testing.T) {
 	check := func(ops []uint32) bool {

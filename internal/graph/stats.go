@@ -2,7 +2,6 @@ package graph
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -54,26 +53,4 @@ func (s Stats) String() string {
 	fmt.Fprintf(&b, "min degree   %d\n", s.MinDegree)
 	fmt.Fprintf(&b, "isolated     %d", s.Isolated)
 	return b.String()
-}
-
-// DegreeHistogram returns, for each distinct degree present in the graph,
-// the number of vertices with that degree, sorted by degree. Tests use it to
-// check the generators' power-law shape.
-func (g *Graph) DegreeHistogram() (degrees []int, counts []int) {
-	hist := make(map[int]int)
-	for v, ok := range g.exists {
-		if ok {
-			hist[len(g.adj[v])]++
-		}
-	}
-	degrees = make([]int, 0, len(hist))
-	for d := range hist {
-		degrees = append(degrees, d)
-	}
-	sort.Ints(degrees)
-	counts = make([]int, len(degrees))
-	for i, d := range degrees {
-		counts[i] = hist[d]
-	}
-	return degrees, counts
 }

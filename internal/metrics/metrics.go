@@ -1,57 +1,13 @@
 // Package metrics provides the small measurement helpers the experiment
-// harness uses: phase timers and summary statistics over repeated runs.
+// harness uses: summary statistics over repeated runs and nearest-rank
+// quantiles.
 package metrics
 
 import (
 	"fmt"
 	"math"
 	"sort"
-	"time"
 )
-
-// Timer measures named phases of an experiment run.
-type Timer struct {
-	start  time.Time
-	last   time.Time
-	phases []Phase
-}
-
-// Phase is one named measured interval.
-type Phase struct {
-	Name     string
-	Duration time.Duration
-}
-
-// NewTimer starts a timer.
-func NewTimer() *Timer {
-	now := time.Now()
-	return &Timer{start: now, last: now}
-}
-
-// Mark closes the current phase under the given name and starts the next.
-func (t *Timer) Mark(name string) time.Duration {
-	now := time.Now()
-	d := now.Sub(t.last)
-	t.phases = append(t.phases, Phase{Name: name, Duration: d})
-	t.last = now
-	return d
-}
-
-// Total returns the time since the timer started.
-func (t *Timer) Total() time.Duration { return time.Since(t.start) }
-
-// Phases returns the recorded phases in order.
-func (t *Timer) Phases() []Phase { return t.phases }
-
-// Get returns the duration of the named phase (0 if absent).
-func (t *Timer) Get(name string) time.Duration {
-	for _, p := range t.phases {
-		if p.Name == name {
-			return p.Duration
-		}
-	}
-	return 0
-}
 
 // Summary holds descriptive statistics of a sample.
 type Summary struct {

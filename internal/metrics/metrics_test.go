@@ -4,30 +4,7 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"time"
 )
-
-func TestTimerPhases(t *testing.T) {
-	tm := NewTimer()
-	time.Sleep(2 * time.Millisecond)
-	d1 := tm.Mark("first")
-	d2 := tm.Mark("second")
-	if d1 < 2*time.Millisecond {
-		t.Fatalf("first phase %v too short", d1)
-	}
-	if len(tm.Phases()) != 2 {
-		t.Fatalf("phases: %v", tm.Phases())
-	}
-	if tm.Get("first") != d1 || tm.Get("second") != d2 {
-		t.Fatal("Get mismatch")
-	}
-	if tm.Get("absent") != 0 {
-		t.Fatal("absent phase nonzero")
-	}
-	if tm.Total() < d1+d2 {
-		t.Fatal("total below phase sum")
-	}
-}
 
 func TestSummarizeEmpty(t *testing.T) {
 	if s := Summarize(nil); s.N != 0 || s.Mean != 0 {

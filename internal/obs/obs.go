@@ -6,22 +6,19 @@
 // # Registry
 //
 // A Registry holds named metrics and renders them in the Prometheus text
-// exposition format (version 0.0.4) via WritePrometheus or Handler. Four
+// exposition format (version 0.0.4) via WritePrometheus or Handler. Three
 // metric kinds cover the service's needs:
 //
 //   - Counter: a monotone atomic uint64 (Inc/Add).
-//   - Gauge: an instantaneous float64 (Set).
-//   - Histogram: fixed cumulative buckets over float64 observations, plus
-//     a bounded ring of recent raw samples from which Quantile computes
-//     nearest-rank p50/p95/p99 (via metrics.Quantile) without the bucket
-//     resolution loss.
+//   - Histogram: fixed cumulative buckets over float64 observations, with
+//     the sum and count Prometheus derives quantiles from.
 //   - CounterVec: a family of counters keyed by one label value (e.g.
 //     re-bootstrap reasons).
 //
 // CounterFunc and GaugeFunc register read-through metrics whose value is
 // produced by a closure at scrape time — the idiom for counters the
 // service already maintains elsewhere (stream.Stats fields), avoiding
-// double bookkeeping on the hot path.
+// double bookkeeping on the hot path. Every gauge is one of these.
 //
 // All metric constructors are get-or-create by name: registering a name
 // twice returns the existing metric (func variants replace the closure),
@@ -33,8 +30,8 @@
 //
 // # Hot-path cost
 //
-// Counter.Add is one atomic add; Histogram.Observe is a short bounds scan
-// plus three atomics and a CAS loop on the sum. Neither allocates. The
+// Counter.Add is one atomic add; Histogram.Observe is a short bounds scan,
+// one atomic add and a CAS loop on the sum. Neither allocates. The
 // scrape path takes the registry lock, but scrapes are rare and never
 // block a writer for more than the duration of a buffer append.
 package obs
@@ -50,8 +47,6 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-
-	"rslpa/internal/metrics"
 )
 
 // LatencyBuckets is the default histogram bucket layout for durations in
@@ -66,10 +61,6 @@ var LatencyBuckets = []float64{
 // CountBuckets is the default bucket layout for small cardinalities
 // (edits per batch, batches per catch-up poll).
 var CountBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096}
-
-// sampleWindow is how many recent raw observations a Histogram retains
-// for nearest-rank quantiles.
-const sampleWindow = 512
 
 // metric is one registered family: it renders its HELP/TYPE header and
 // sample lines into the exposition buffer.
@@ -143,19 +134,6 @@ func (r *Registry) Counter(name, help string) *Counter {
 		panic(fmt.Sprintf("obs: %q already registered as a different kind", name))
 	}
 	return c
-}
-
-// Gauge returns the registry's gauge under name, creating it on first use.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	m := r.register(name, func() metric { return &Gauge{name: name, help: help} })
-	g, ok := m.(*Gauge)
-	if !ok {
-		panic(fmt.Sprintf("obs: %q already registered as a different kind", name))
-	}
-	return g
 }
 
 // CounterFunc registers a read-through counter whose value fn produces at
@@ -301,38 +279,6 @@ func (c *Counter) write(b *bytes.Buffer) {
 	b.WriteByte('\n')
 }
 
-// Gauge is an instantaneous float64 value. All methods are nil-safe.
-type Gauge struct {
-	name, help string
-	bits       atomic.Uint64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) {
-	if g == nil {
-		return
-	}
-	g.bits.Store(math.Float64bits(v))
-}
-
-// Value returns the current value (0 on nil).
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return math.Float64frombits(g.bits.Load())
-}
-
-func (g *Gauge) metricName() string { return g.name }
-
-func (g *Gauge) write(b *bytes.Buffer) {
-	writeHeader(b, g.name, g.help, "gauge")
-	b.WriteString(g.name)
-	b.WriteByte(' ')
-	writeFloat(b, g.Value())
-	b.WriteByte('\n')
-}
-
 // funcMetric is a read-through counter or gauge: the value comes from a
 // closure at scrape time.
 type funcMetric struct {
@@ -354,8 +300,7 @@ func (f *funcMetric) write(b *bytes.Buffer) {
 	b.WriteByte('\n')
 }
 
-// Histogram is a fixed-bucket histogram over float64 observations, with a
-// bounded ring of recent raw samples for nearest-rank quantiles. Observe
+// Histogram is a fixed-bucket histogram over float64 observations. Observe
 // is allocation-free and safe for concurrent use; all methods are
 // nil-safe.
 type Histogram struct {
@@ -363,8 +308,6 @@ type Histogram struct {
 	bounds     []float64       // ascending upper bounds; +Inf implicit
 	counts     []atomic.Uint64 // per-bucket (non-cumulative), len(bounds)+1
 	sumBits    atomic.Uint64   // float64 bits of the running sum
-	ring       [sampleWindow]atomic.Uint64
-	n          atomic.Uint64 // total observations ever
 }
 
 // Observe records one sample.
@@ -380,34 +323,19 @@ func (h *Histogram) Observe(v float64) {
 			break
 		}
 	}
-	idx := h.n.Add(1) - 1
-	h.ring[idx%sampleWindow].Store(math.Float64bits(v))
 }
 
-// Count returns the total number of observations (0 on nil).
+// Count returns the total number of observations, summed over the
+// buckets (0 on nil).
 func (h *Histogram) Count() uint64 {
 	if h == nil {
 		return 0
 	}
-	return h.n.Load()
-}
-
-// Quantile returns the nearest-rank q-quantile over the retained sample
-// window (the last sampleWindow observations), 0 when empty or nil.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return 0
+	var n uint64
+	for i := range h.counts {
+		n += h.counts[i].Load()
 	}
-	n := min(h.n.Load(), sampleWindow)
-	if n == 0 {
-		return 0
-	}
-	xs := make([]float64, n)
-	for i := range xs {
-		xs[i] = math.Float64frombits(h.ring[i].Load())
-	}
-	sort.Float64s(xs)
-	return metrics.Quantile(xs, q)
+	return n
 }
 
 func (h *Histogram) metricName() string { return h.name }

@@ -14,10 +14,14 @@ func TestCounterAndGauge(t *testing.T) {
 	if got := c.Value(); got != 5 {
 		t.Fatalf("counter = %d, want 5", got)
 	}
-	g := r.Gauge("test_depth", "depth")
-	g.Set(3.5)
-	if got := g.Value(); got != 3.5 {
-		t.Fatalf("gauge = %g, want 3.5", got)
+	depth := 3.5
+	r.GaugeFunc("test_depth", "depth", func() float64 { return depth })
+	var sb strings.Builder
+	if err := r.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(sb.String(), "test_depth 3.5\n") {
+		t.Fatalf("gauge not read through its closure:\n%s", sb.String())
 	}
 }
 
@@ -62,7 +66,6 @@ func TestFuncReplacement(t *testing.T) {
 func TestNilSafety(t *testing.T) {
 	var r *Registry
 	r.Counter("x_total", "x").Inc()
-	r.Gauge("x", "x").Set(1)
 	r.Histogram("x_seconds", "x", nil).Observe(1)
 	r.CounterVec("x_by_reason_total", "x", "reason").With("a").Inc()
 	r.CounterFunc("x_f_total", "x", func() float64 { return 1 })
@@ -85,7 +88,7 @@ func TestKindCollisionPanics(t *testing.T) {
 			t.Fatal("registering a gauge over a counter did not panic")
 		}
 	}()
-	r.Gauge("test_total", "t")
+	r.GaugeFunc("test_total", "t", func() float64 { return 0 })
 }
 
 func TestInvalidNamePanics(t *testing.T) {
@@ -98,33 +101,34 @@ func TestInvalidNamePanics(t *testing.T) {
 	r.Counter("0bad-name", "t")
 }
 
-func TestHistogramQuantile(t *testing.T) {
+// Observations land in the first bucket whose bound they do not exceed,
+// and Count is the sum over every bucket, +Inf included.
+func TestHistogramBuckets(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("test_lat_seconds", "t", CountBuckets)
-	for i := 1; i <= 100; i++ {
-		h.Observe(float64(i))
+	h := r.Histogram("test_lat_seconds", "t", []float64{1, 10})
+	for _, v := range []float64{0.5, 1, 1.5, 10, 11, 1e9} {
+		h.Observe(v)
 	}
-	// Nearest-rank over 1..100: p50 = 50th value, p95 = 95th, p99 = 99th.
-	for _, tc := range []struct{ q, want float64 }{{0.5, 50}, {0.95, 95}, {0.99, 99}} {
-		if got := h.Quantile(tc.q); got != tc.want {
-			t.Errorf("Quantile(%g) = %g, want %g", tc.q, got, tc.want)
+	if got := h.Count(); got != 6 {
+		t.Fatalf("Count = %d, want 6", got)
+	}
+	var sb strings.Builder
+	if err := r.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	fams, err := ParseExposition(strings.NewReader(sb.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for key, want := range map[string]float64{
+		`test_lat_seconds_bucket{le="1"}`:    2,
+		`test_lat_seconds_bucket{le="10"}`:   4,
+		`test_lat_seconds_bucket{le="+Inf"}`: 6,
+		`test_lat_seconds_count`:             6,
+	} {
+		if got := fams["test_lat_seconds"].Samples[key]; got != want {
+			t.Errorf("%s = %g, want %g", key, got, want)
 		}
-	}
-}
-
-// The quantile window is bounded: once more than sampleWindow observations
-// arrive, only the most recent window feeds the quantiles.
-func TestHistogramQuantileWindow(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("test_win_seconds", "t", CountBuckets)
-	for i := 0; i < sampleWindow; i++ {
-		h.Observe(1)
-	}
-	for i := 0; i < sampleWindow; i++ {
-		h.Observe(100)
-	}
-	if got := h.Quantile(0.5); got != 100 {
-		t.Fatalf("median after window rollover = %g, want 100", got)
 	}
 }
 
@@ -134,7 +138,7 @@ func TestHistogramQuantileWindow(t *testing.T) {
 func TestExpositionLints(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("app_ops_total", "operations").Add(3)
-	r.Gauge("app_depth", "queue depth").Set(2)
+	r.GaugeFunc("app_depth", "queue depth", func() float64 { return 2 })
 	h := r.Histogram("app_latency_seconds", "latency", LatencyBuckets)
 	h.Observe(0.0001)
 	h.Observe(0.004)

@@ -19,14 +19,13 @@ import (
 // re-reduced pairwise up an aggregation tree, and the master's selection on
 // the final forest matches the sequential selection on all edges exactly.
 
-// ReduceForestBy is the Kruskal kernel shared by ReduceForest and the
-// distributed driver's integer-count variant: keep the edges that merge
-// two components when processed heaviest-first. include filters the
-// candidates, heavier orders them descending (ties broken by endpoints for
-// a canonical result), endpoints names an edge's vertices. An edge is
-// dropped iff it is the lightest edge of a cycle among edges at least as
-// heavy, so the kept forest preserves connectivity at every threshold the
-// filter admits.
+// ReduceForestBy is the Kruskal kernel of the distributed driver's forest
+// reduction: keep the edges that merge two components when processed
+// heaviest-first. include filters the candidates, heavier orders them
+// descending (ties broken by endpoints for a canonical result), endpoints
+// names an edge's vertices. An edge is dropped iff it is the lightest edge
+// of a cycle among edges at least as heavy, so the kept forest preserves
+// connectivity at every threshold the filter admits.
 func ReduceForestBy[E any](edges []E, include func(E) bool, heavier func(a, b E) bool, endpoints func(E) (uint32, uint32)) []E {
 	cand := make([]E, 0, len(edges))
 	for _, e := range edges {
@@ -61,48 +60,4 @@ func ReduceForestBy[E any](edges []E, include func(E) bool, heavier func(a, b E)
 		}
 	}
 	return kept
-}
-
-// ReduceForest returns a maximum-weight spanning forest of the edges with
-// W ≥ tau2: the minimal subset preserving connectivity at every threshold
-// τ ≥ tau2. Output is canonical — sorted by weight descending, ties by
-// (U, V) ascending — so the reduction is deterministic for a given edge
-// multiset regardless of input order. Reduction composes: reducing the
-// concatenation of already-reduced parts is again connectivity-preserving,
-// which is how the distributed gather re-reduces at every tree level.
-func ReduceForest(edges []WeightedEdge, tau2 float64) []WeightedEdge {
-	return ReduceForestBy(edges,
-		func(e WeightedEdge) bool { return e.W >= tau2 },
-		func(a, b WeightedEdge) bool {
-			if a.W != b.W {
-				return a.W > b.W
-			}
-			if a.U != b.U {
-				return a.U < b.U
-			}
-			return a.V < b.V
-		},
-		func(e WeightedEdge) (uint32, uint32) { return e.U, e.V })
-}
-
-// Tau2OfParts is Tau2Of over partitioned edges. The min-of-max reduction is
-// partition-oblivious, so delegating on the flattened parts keeps a single
-// implementation of Equation 2.
-func Tau2OfParts(parts [][]WeightedEdge) float64 {
-	var all []WeightedEdge
-	for _, part := range parts {
-		all = append(all, part...)
-	}
-	return Tau2Of(all)
-}
-
-// ExtractPartitioned is ExtractFromWeights for edge sets split across P
-// parts, structured exactly like the distributed post-processing: resolve
-// τ₂ from per-part vertex maxima, reduce each part to its spanning forest,
-// re-reduce the merged forests, and assemble from the forest plus per-part
-// attachment candidates. It returns bit-identical Results to
-// ExtractFromWeights on the concatenation of the parts, which the tests
-// pin; internal/dist runs the same plan over the wire.
-func ExtractPartitioned(g GraphView, parts [][]WeightedEdge, cfg Config) (*Result, error) {
-	return new(ExtractScratch).ExtractPartitioned(g, parts, cfg)
 }

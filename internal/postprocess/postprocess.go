@@ -200,10 +200,10 @@ func MaxWeight(edges []WeightedEdge) float64 {
 
 // ExtractFromForest assembles the final Result from a REDUCED edge set: any
 // subset of the weighted edges that preserves connectivity at every
-// threshold τ ≥ tau2 (ReduceForest produces the minimal such subset), plus
-// a separate attachment candidate list that must contain every edge with
-// tau2 ≤ w < τ₁ (supersets are fine — strong-strong and sub-τ₂ entries are
-// filtered here). tau2 is the already-resolved weak threshold and maxWeight
+// threshold τ ≥ tau2 (a maximum-weight spanning forest is the minimal such
+// subset; see ReduceForestBy), plus a separate attachment candidate list
+// that must contain every edge with tau2 ≤ w < τ₁ (supersets are fine —
+// strong-strong and sub-τ₂ entries are filtered here). tau2 is the already-resolved weak threshold and maxWeight
 // the maximum weight over the FULL edge set (the selectors' fallback when
 // nothing reaches τ₂). It produces bit-identical results to
 // ExtractFromWeights on the full set: the τ₁ entropy sweep only observes
@@ -328,15 +328,6 @@ func entropyOfSizes(members [][]uint32, n int) float64 {
 		h -= p * math.Log(p)
 	}
 	return h
-}
-
-// SelectTau1 chooses the strong threshold τ₁ ∈ [τ₂, max w] maximizing the
-// community-size entropy (Equation 1) using the exact descending-weight
-// sweep. vertexCount is |V| of the full graph (the entropy denominator).
-// It is exported for the distributed driver, whose master performs this
-// selection on gathered weights.
-func SelectTau1(edges []WeightedEdge, vertexCount int, tau2 float64) float64 {
-	return ChooseTau1(edges, vertexCount, tau2, MaxWeight(edges), Config{})
 }
 
 // ChooseTau1 resolves the strong threshold for an already-reduced edge set:

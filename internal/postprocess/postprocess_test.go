@@ -124,9 +124,12 @@ func TestUnionFind(t *testing.T) {
 	if uf.Find(4) == uf.Find(0) {
 		t.Fatal("separate sets merged")
 	}
-	comps := uf.Components()
-	if len(comps) != 3 { // {0,1,2,3}, {4}, {5}
-		t.Fatalf("components: %v", comps)
+	roots := map[int]bool{}
+	for i := 0; i < 6; i++ {
+		roots[uf.Find(i)] = true
+	}
+	if len(roots) != 3 { // {0,1,2,3}, {4}, {5}
+		t.Fatalf("%d components, want 3", len(roots))
 	}
 }
 
@@ -358,7 +361,10 @@ func TestReduceForestPreservesThresholdConnectivity(t *testing.T) {
 			edges = append(edges, WeightedEdge{U: u, V: v, W: float64(r.Intn(8)) / 8})
 		}
 		tau2 := float64(r.Intn(4)) / 8
-		forest := ReduceForest(edges, tau2)
+		forest := ReduceForestBy(edges,
+			func(e WeightedEdge) bool { return e.W >= tau2 },
+			func(a, b WeightedEdge) bool { return a.W > b.W },
+			func(e WeightedEdge) (uint32, uint32) { return e.U, e.V })
 		if len(forest) >= n {
 			return false // a forest of ≤ n vertices has < n edges
 		}
@@ -396,91 +402,16 @@ func TestReduceForestPreservesThresholdConnectivity(t *testing.T) {
 	}
 }
 
-// partitionEdges deals edges across k parts deterministically but
-// non-contiguously, mimicking worker ownership.
-func partitionEdges(edges []WeightedEdge, k int) [][]WeightedEdge {
-	parts := make([][]WeightedEdge, k)
-	for i, e := range edges {
-		w := (i*2654435761 + int(e.U)) % k
-		parts[w] = append(parts[w], e)
-	}
-	return parts
-}
-
-// TestExtractPartitionedMatchesSequential pins the partitioned entry point
-// against ExtractFromWeights on real propagated labels: identical
-// thresholds, entropy, counts, and the exact same communities for every
-// part count, selection mode, and metric.
-func TestExtractPartitionedMatchesSequential(t *testing.T) {
-	p := lfr.Default(400)
-	p.AvgDeg, p.MaxDeg, p.On = 10, 25, 40
-	res, err := lfr.Generate(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := core.Run(res.Graph, core.Config{T: 60, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, cfg := range []Config{
-		{},
-		{GridStep: 0.01},
-		{Tau1: 0.5, Tau2: 0.05},
-		{Metric: SameLabelProbability},
-	} {
-		edges := EdgeWeights(st.Graph(), st.Labels, cfg.Metric)
-		want, err := ExtractFromWeights(st.Graph(), edges, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, k := range []int{1, 2, 3, 7} {
-			got, err := ExtractPartitioned(st.Graph(), partitionEdges(edges, k), cfg)
-			if err != nil {
-				t.Fatalf("k=%d: %v", k, err)
-			}
-			if got.Tau1 != want.Tau1 || got.Tau2 != want.Tau2 || got.Entropy != want.Entropy ||
-				got.Strong != want.Strong || got.Weak != want.Weak {
-				t.Fatalf("cfg=%+v k=%d: partitioned %+v, sequential %+v", cfg, k, got, want)
-			}
-			if !got.Cover.Equal(want.Cover) {
-				t.Fatalf("cfg=%+v k=%d: covers differ", cfg, k)
-			}
-		}
-	}
-}
-
-// TestExtractPartitionedEmptyAndEdgeless covers the degenerate shapes.
-func TestExtractPartitionedEmptyAndEdgeless(t *testing.T) {
-	empty, err := ExtractPartitioned(graph.New(), nil, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if empty.Cover.Len() != 0 {
-		t.Fatal("empty graph produced communities")
-	}
-	g := graph.New()
-	g.AddVertex(3)
-	g.AddVertex(9)
-	got, err := ExtractPartitioned(g, [][]WeightedEdge{nil, nil}, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := ExtractFromWeights(g, nil, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Tau1 != want.Tau1 || got.Tau2 != want.Tau2 || got.Strong != want.Strong {
-		t.Fatalf("edgeless: partitioned %+v, sequential %+v", got, want)
-	}
-}
-
+// TestSelectTau1Exported pins the exported τ₁ selection (ChooseTau1's exact
+// sweep, as the distributed master calls it) on two triples joined by a
+// light bridge.
 func TestSelectTau1Exported(t *testing.T) {
 	edges := []WeightedEdge{
 		{U: 0, V: 1, W: 0.9}, {U: 1, V: 2, W: 0.9},
 		{U: 3, V: 4, W: 0.8}, {U: 4, V: 5, W: 0.8},
 		{U: 2, V: 3, W: 0.1}, // bridge
 	}
-	tau1 := SelectTau1(edges, 6, 0.05)
+	tau1 := ChooseTau1(edges, 6, 0.05, MaxWeight(edges), Config{})
 	// Entropy at 0.8: both halves together... at 0.9: one 3-community; at
 	// 0.8: 6-vertex; at 0.1: everything one comp. Max entropy keeps the
 	// two triples separate.

@@ -75,17 +75,11 @@ func growTo[T any](s []T, n int) []T {
 // 2): the per-vertex maxima live in the scratch's dense table instead of a
 // map.
 func (sc *ExtractScratch) Tau2Of(edges []WeightedEdge) float64 {
-	return sc.tau2OfEdges(edges)
-}
-
-func (sc *ExtractScratch) tau2OfEdges(parts ...[]WeightedEdge) float64 {
 	gen := sc.bump()
 	sc.maxTouched = sc.maxTouched[:0]
-	for _, part := range parts {
-		for _, e := range part {
-			sc.seeMax(e.U, e.W, gen)
-			sc.seeMax(e.V, e.W, gen)
-		}
+	for _, e := range edges {
+		sc.seeMax(e.U, e.W, gen)
+		sc.seeMax(e.V, e.W, gen)
 	}
 	tau2 := math.Inf(1)
 	for _, v := range sc.maxTouched {
@@ -149,32 +143,4 @@ func (sc *ExtractScratch) ExtractFromWeights(g GraphView, edges []WeightedEdge, 
 		tau2 = sc.Tau2Of(edges)
 	}
 	return sc.extractFromForest(g, edges, edges, tau2, MaxWeight(edges), cfg)
-}
-
-// ExtractPartitioned is the scratch-backed form of the package-level
-// ExtractPartitioned: τ₂ is resolved over the parts without flattening
-// them, and the assembly shares the scratch's tables.
-func (sc *ExtractScratch) ExtractPartitioned(g GraphView, parts [][]WeightedEdge, cfg Config) (*Result, error) {
-	if g.NumVertices() == 0 {
-		return &Result{Cover: cover.New(0)}, nil
-	}
-	tau2 := cfg.Tau2
-	if tau2 == 0 {
-		tau2 = sc.tau2OfEdges(parts...)
-	}
-	maxWeight := 0.0
-	var forest, attach []WeightedEdge
-	for _, part := range parts {
-		forest = append(forest, ReduceForest(part, tau2)...)
-		for _, e := range part {
-			if e.W >= tau2 {
-				attach = append(attach, e)
-			}
-			if e.W > maxWeight {
-				maxWeight = e.W
-			}
-		}
-	}
-	forest = ReduceForest(forest, tau2)
-	return sc.extractFromForest(g, forest, attach, tau2, maxWeight, cfg)
 }

@@ -48,14 +48,3 @@ func (uf *UnionFind) Union(a, b int) (root int, merged bool) {
 func (uf *UnionFind) SizeOf(x int) int {
 	return int(uf.size[uf.Find(x)])
 }
-
-// Components groups the members [0,n) by representative and returns the
-// groups (unsorted). Only callers that need full component lists use this;
-// the sweep tracks sizes incrementally instead.
-func (uf *UnionFind) Components() map[int][]int {
-	comps := make(map[int][]int)
-	for i := range uf.parent {
-		comps[uf.Find(i)] = append(comps[uf.Find(i)], i)
-	}
-	return comps
-}

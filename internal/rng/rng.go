@@ -52,14 +52,6 @@ func New(seed uint64) *Source {
 	return &src
 }
 
-// NewStream returns a Source whose state is derived from a base seed and a
-// stream identifier. Streams with distinct ids are statistically
-// independent, which lets per-vertex decisions be drawn concurrently and
-// deterministically regardless of partitioning.
-func NewStream(seed, stream uint64) *Source {
-	return New(Mix64(seed) ^ Mix64(stream^0xa0761d6478bd642f))
-}
-
 // Seed resets the generator state from seed.
 func (r *Source) Seed(seed uint64) {
 	state := seed

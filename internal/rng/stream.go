@@ -53,8 +53,3 @@ func (s *Stream) Intn(n int) int {
 	}
 	return int(s.Uint64n(uint64(n)))
 }
-
-// Float64 returns a uniform float64 in [0, 1).
-func (s *Stream) Float64() float64 {
-	return float64(s.Uint64()>>11) / (1 << 53)
-}
