@@ -109,6 +109,7 @@ type State struct {
 	src    [][]int32  // src[v][t]; -1 = no recorded pick (fresh vertex)
 	pos    [][]uint16 // pos[v][t]; parallel to src, 0 under the -1 sentinel
 	recv   [][]Record // records stored at the source vertex
+	rows   RowStamps  // copy-on-write stamps of the label rows (see Freeze)
 
 	epoch uint64 // update-batch counter, part of repick stream derivation
 
@@ -231,6 +232,54 @@ func DropRecord(row []Record, rec Record) []Record {
 	return row
 }
 
+// RowStamps makes a label matrix's rows copy-on-write across Freeze
+// calls, so a reader may keep the row slices it was handed while the
+// matrix moves on. stamp[v] is the freeze generation in which row v was
+// last made private. A row stamped before the current generation may be
+// held by a reader and is never written again: Set first replaces it with
+// a fresh exact-length copy (cap == len). Until the first Freeze every row
+// is private and Set writes in place. After Run or Propagate, both engines
+// write label values only through Set.
+type RowStamps struct {
+	gen   uint32   // Freeze count; 0 while never frozen
+	stamp []uint32 // grown on demand; a missing or older stamp means shared
+}
+
+// Freeze promises that no row of the matrix as it stands is written
+// again: the next write to each goes to a private copy.
+func (r *RowStamps) Freeze() {
+	r.gen++
+	if r.gen == 0 { // wraparound: no old stamp may alias the new generation
+		clear(r.stamp)
+		r.gen = 1
+	}
+}
+
+// Set writes val at rows[v][t], first giving row v a private copy if it
+// was frozen.
+func (r *RowStamps) Set(rows [][]uint32, v uint32, t int, val uint32) {
+	if r.gen != 0 && (int(v) >= len(r.stamp) || r.stamp[v] != r.gen) {
+		r.own(rows, v)
+	}
+	rows[v][t] = val
+}
+
+// own replaces row v with a private exact-length copy.
+func (r *RowStamps) own(rows [][]uint32, v uint32) {
+	if int(v) >= len(r.stamp) {
+		r.stamp = append(r.stamp, make([]uint32, len(rows)-len(r.stamp))...)
+	}
+	row := make([]uint32, len(rows[v]))
+	copy(row, rows[v])
+	rows[v] = row
+	r.stamp[v] = r.gen
+}
+
+// Freeze promises that no row Labels has returned so far is written
+// again; the next Update that changes such a row writes a copy. A State
+// that is never frozen updates its rows in place.
+func (s *State) Freeze() { s.rows.Freeze() }
+
 // T returns the configured iteration count.
 func (s *State) T() int { return s.cfg.T }
 
@@ -244,9 +293,10 @@ func (s *State) Epoch() uint64 { return s.epoch }
 // use Update.
 func (s *State) Graph() *graph.Graph { return s.g }
 
-// Labels returns vertex v's label sequence (length T+1). The slice is owned
-// by the State; callers must not mutate it. It returns nil for vertices not
-// in the graph.
+// Labels returns vertex v's label sequence (length T+1, cap == len). The
+// slice is owned by the State; callers must not mutate it. Update may
+// write it in place until the next Freeze and never after. It returns nil
+// for vertices not in the graph.
 func (s *State) Labels(v uint32) []uint32 {
 	if int(v) >= len(s.labels) || !s.g.HasVertex(v) {
 		return nil
@@ -285,7 +335,7 @@ func (s *State) Clone() *State {
 	c.recv = make([][]Record, len(s.recv))
 	for v := range s.labels {
 		if s.labels[v] != nil {
-			c.labels[v] = append([]uint32(nil), s.labels[v]...)
+			c.labels[v] = append(make([]uint32, 0, len(s.labels[v])), s.labels[v]...)
 			c.src[v] = append([]int32(nil), s.src[v]...)
 			c.pos[v] = append([]uint16(nil), s.pos[v]...)
 		}

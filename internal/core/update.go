@@ -31,9 +31,13 @@ type UpdateStats struct {
 	RoundsRun int
 
 	// Dirty is the sorted, deduplicated set of vertices whose externally
-	// visible state (adjacency or label sequence) may have changed: the
-	// endpoints of every effective edit plus every vertex correction
-	// propagation visited. It is what lets the streaming service publish
+	// visible state (adjacency or label sequence) changed: the endpoints
+	// of every effective edit plus every vertex correction propagation
+	// visited. Outside the endpoints every visited slot changes — it was
+	// queued because its source's value at pos changed, and no slot is
+	// recomputed twice in a batch — so Dirty is exactly the endpoints,
+	// the created and removed vertices and the vertices whose label row
+	// changed. It is what lets the streaming service publish
 	// copy-on-write snapshots — only the shards covering Dirty vertices
 	// are recloned; everything else is shared with the previous epoch.
 	// The set is a pure function of the canonical batch, so it is
@@ -116,7 +120,7 @@ func (s *State) Update(batch []graph.Edit) UpdateStats {
 			if newVal == s.labels[v][t] {
 				continue
 			}
-			s.labels[v][t] = newVal
+			s.rows.Set(s.labels, v, t, newVal)
 			stats.Changed++
 			// Forward the change to everyone who copied this label; a
 			// linear scan of the flat record list beats any per-vertex

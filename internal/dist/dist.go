@@ -113,7 +113,8 @@ type shard struct {
 	src    [][]int32
 	pos    [][]uint16 // 0 under a -1 src, as in core.State
 	recv   [][]core.Record
-	owned  []uint32 // owned present vertices, the per-round iteration order
+	rows   core.RowStamps // copy-on-write stamps of the label rows (see RSLPA.Freeze)
+	owned  []uint32       // owned present vertices, the per-round iteration order
 }
 
 // growTo extends the per-vertex arrays to cover vertex ID v.

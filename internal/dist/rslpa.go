@@ -71,14 +71,25 @@ func NewRSLPA(eng *cluster.Engine, g *graph.Graph, cfg core.Config) (*RSLPA, err
 	return d, nil
 }
 
-// Labels returns vertex v's label sequence (length T+1), or nil for absent
-// vertices. The slice is owned by the driver; callers must not mutate it.
+// Labels returns vertex v's label sequence (length T+1, cap == len), or
+// nil for absent vertices. The slice is owned by the driver; callers must
+// not mutate it. Update may write it in place until the next Freeze and
+// never after.
 func (d *RSLPA) Labels(v uint32) []uint32 {
 	sh := d.shards[d.eng.Owner(v)]
 	if int(v) >= len(sh.exists) || !sh.exists[v] {
 		return nil
 	}
 	return sh.labels[v]
+}
+
+// Freeze promises that no row Labels has returned so far is written
+// again, as core.State.Freeze does: each worker's next write to such a row
+// goes to a private copy. It must not run concurrently with Update.
+func (d *RSLPA) Freeze() {
+	for _, sh := range d.shards {
+		sh.rows.Freeze()
+	}
 }
 
 // T returns the configured iteration count.
@@ -350,7 +361,7 @@ func (d *RSLPA) correct(seed func(w int, sh *shard, sc *updScratch, emit cluster
 				if sh.labels[v][t] == val {
 					continue
 				}
-				sh.labels[v][t] = val
+				sh.rows.Set(sh.labels, v, int(t), val)
 				sc.stats.Changed++
 				d.cascade(sh, sc, w, v, t, emit)
 			}
@@ -465,7 +476,7 @@ func (d *RSLPA) runFusedLevel(sh *shard, sc *updScratch, w int, lvl int32, emit 
 		if sh.labels[v][lvl] == val {
 			return
 		}
-		sh.labels[v][lvl] = val
+		sh.rows.Set(sh.labels, v, int(lvl), val)
 		sc.stats.Changed++
 		d.cascade(sh, sc, w, v, lvl, emit)
 	})

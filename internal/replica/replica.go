@@ -175,6 +175,7 @@ type seqDetector struct{ st *core.State }
 
 func (d seqDetector) Update(b []graph.Edit) (core.UpdateStats, error) { return d.st.Update(b), nil }
 func (d seqDetector) Labels(v uint32) []uint32                        { return d.st.Labels(v) }
+func (d seqDetector) Freeze()                                         { d.st.Freeze() }
 func (d seqDetector) Graph() *graph.Graph                             { return d.st.Graph() }
 func (d seqDetector) Save(w io.Writer) error                          { return d.st.SaveCheckpoint(w) }
 

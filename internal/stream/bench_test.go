@@ -142,7 +142,7 @@ func BenchmarkStreamServe(b *testing.B) {
 // never per edit.
 func BenchmarkObsOverhead(b *testing.B) {
 	run := func(b *testing.B, opts Options) {
-		st := ringState(b, 10_000, 3)
+		st := ringState(b, 10_000, 20, 3)
 		svc, err := New(seqDet{st}, opts)
 		if err != nil {
 			b.Fatal(err)
@@ -192,39 +192,62 @@ func BenchmarkObsOverhead(b *testing.B) {
 // then time republishing the resulting snapshot from its predecessor.
 // Reported metrics pin the tentpole economics — shards republished versus
 // total shards, and the cost of the full clone the COW path replaces —
-// and the CI smoke emits them as BENCH_snapshot.json.
+// and the CI smoke emits them as BENCH_snapshot.json. The ring rows run
+// at T = 20; the lfr rows run the repository benchmark's graph and T
+// (LFR 20 000, T = 200), where a label copy would cost 16 MB per publish.
 func BenchmarkSnapshotPublish(b *testing.B) {
+	publish := func(b *testing.B, st *core.State, edits []graph.Edit) {
+		work := st.Clone()
+		wdet := seqDet{work}
+		prev := newSnapshot(0, wdet, postprocess.Config{}, core.UpdateStats{})
+		stats := work.Update(graph.Canonicalize(work.Graph(), edits))
+
+		var sn *Snapshot
+		b.ReportAllocs()
+		b.ResetTimer()
+		for range b.N {
+			sn = nextSnapshot(prev, wdet, stats.Dirty, stats)
+		}
+		b.StopTimer()
+		f0 := time.Now()
+		newSnapshot(sn.Epoch(), wdet, postprocess.Config{}, stats)
+		b.ReportMetric(float64(time.Since(f0).Microseconds()), "fullclone-us")
+		b.ReportMetric(float64(sn.ShardsRepublished()), "shards-republished")
+		b.ReportMetric(float64(sn.NumShards()), "shards-total")
+	}
 	for _, n := range []uint32{10_000, 100_000} {
-		st := ringState(b, n, 3)
+		st := ringState(b, n, 20, 3)
 		for _, batchSize := range []int{2, 64, 512} {
 			b.Run(fmt.Sprintf("n=%d/batch=%d", n, batchSize), func(b *testing.B) {
 				// One batch of inserts spread over the ring: endpoints
 				// land in batchSize distinct regions, the worst case for
 				// a given batch size.
-				work := st.Clone()
 				var edits []graph.Edit
 				for i := 0; i < batchSize; i++ {
 					u := uint32(i) * (n / uint32(batchSize))
 					edits = append(edits, graph.Edit{Op: graph.Insert, U: u, V: (u + n/2) % n})
 				}
-				wdet := seqDet{work}
-				prev := newSnapshot(0, wdet, postprocess.Config{}, core.UpdateStats{})
-				stats := work.Update(graph.Canonicalize(work.Graph(), edits))
-
-				var sn *Snapshot
-				b.ReportAllocs()
-				b.ResetTimer()
-				for range b.N {
-					sn = nextSnapshot(prev, wdet, stats.Dirty, stats)
-				}
-				b.StopTimer()
-				f0 := time.Now()
-				newSnapshot(sn.Epoch(), wdet, postprocess.Config{}, stats)
-				b.ReportMetric(float64(time.Since(f0).Microseconds()), "fullclone-us")
-				b.ReportMetric(float64(sn.ShardsRepublished()), "shards-republished")
-				b.ReportMetric(float64(sn.NumShards()), "shards-total")
+				publish(b, st, edits)
 			})
 		}
+	}
+	gen, err := lfr.Generate(lfr.Default(20_000))
+	if err != nil {
+		b.Fatal(err)
+	}
+	st, err := core.Run(gen.Graph, core.Config{T: core.DefaultT, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, batchSize := range []int{8, 200} {
+		b.Run(fmt.Sprintf("lfr=20000/T=200/batch=%d", batchSize), func(b *testing.B) {
+			// Half deletions, half insertions, drawn uniformly.
+			edits, err := dynamic.Batch(st.Graph(), batchSize, uint64(batchSize))
+			if err != nil {
+				b.Fatal(err)
+			}
+			publish(b, st, edits)
+		})
 	}
 }
 

@@ -3,6 +3,7 @@ package stream
 import (
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -11,6 +12,7 @@ import (
 
 	"rslpa/internal/core"
 	"rslpa/internal/graph"
+	"rslpa/internal/lfr"
 	"rslpa/internal/postprocess"
 )
 
@@ -284,14 +286,15 @@ func TestSnapshotShardBoundary(t *testing.T) {
 	}
 }
 
-// ringState builds an n-vertex ring and runs the detector on it.
-func ringState(t testing.TB, n uint32, seed uint64) *core.State {
+// ringState builds an n-vertex ring and runs the detector on it for T
+// iterations.
+func ringState(t testing.TB, n uint32, T int, seed uint64) *core.State {
 	t.Helper()
 	g := graph.New()
 	for i := uint32(0); i < n; i++ {
 		g.AddEdge(i, (i+1)%n)
 	}
-	st, err := core.Run(g, core.Config{T: 20, Seed: seed})
+	st, err := core.Run(g, core.Config{T: T, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +308,7 @@ func ringState(t testing.TB, n uint32, seed uint64) *core.State {
 // identical to a full clone of the same state.
 func TestCOWPublicationLargeGraph(t *testing.T) {
 	const n = 100_000
-	st := ringState(t, n, 3)
+	st := ringState(t, n, 20, 3)
 	det := seqDet{st}
 	s, err := New(det, Options{FlushInterval: time.Hour, MaxBatch: 1 << 20})
 	if err != nil {
@@ -385,16 +388,21 @@ func TestCOWPublicationLargeGraph(t *testing.T) {
 	}
 }
 
-// Every row a snapshot serves is a window into its shard's one backing
-// array with cap == len, so a caller's append to one row reallocates
-// instead of running into the next row — on a full clone and on a
-// copy-on-write successor alike.
+// Every row a snapshot serves has cap == len, so a caller's append to one
+// row reallocates instead of running into whatever follows it: on a full
+// clone, and on a copy-on-write successor after an Update on the frozen
+// detector, whose changed rows are the detector's fresh copies. At T = 200
+// a row is 804 bytes, which no size class fits exactly, so a copy that
+// rounds its capacity up (slices.Clone gives cap 224) fails here.
 func TestSnapshotRowsAreFullSliceWindows(t *testing.T) {
 	const n = graph.ShardSize + 100
-	st := ringState(t, n, 3)
+	st := ringState(t, n, core.DefaultT, 3)
 	det := seqDet{st}
 	sn0 := newSnapshot(0, det, postprocess.Config{}, core.UpdateStats{})
 	stats := st.Update(graph.Canonicalize(st.Graph(), []graph.Edit{{Op: graph.Insert, U: 5, V: n - 5}}))
+	if stats.Changed == 0 {
+		t.Fatal("the insert changed no label: no copied row to check")
+	}
 	sn1 := nextSnapshot(sn0, det, stats.Dirty, stats)
 	if sn1.ShardsRepublished() != 2 {
 		t.Fatalf("cross-shard insert republished %d shards, want 2", sn1.ShardsRepublished())
@@ -420,12 +428,52 @@ func TestSnapshotRowsAreFullSliceWindows(t *testing.T) {
 	}
 }
 
+// A snapshot keeps the detector's label rows, not a copy of them: a
+// bootstrap snapshot over the repository benchmark's graph (LFR 20 000,
+// T = 200) retains its adjacency clone and one row header per vertex,
+// ≤ 4 MB; a private copy of the labels would add ≈ 16 MB.
+func TestSnapshotRetainsNoLabelCopy(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 20000-vertex, T=200 state")
+	}
+	if raceEnabled {
+		t.Skip("the race detector's shadow memory distorts heap figures")
+	}
+	gen, err := lfr.Generate(lfr.Default(20_000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := core.Run(gen.Graph, core.Config{T: core.DefaultT, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := liveHeap()
+	sn := newSnapshot(0, seqDet{st}, postprocess.Config{}, core.UpdateStats{})
+	retained := float64(int64(liveHeap())-int64(before)) / (1 << 20)
+	runtime.KeepAlive(sn)
+	runtime.KeepAlive(st)
+	t.Logf("bootstrap snapshot retains %.2f MB beside the detector", retained)
+	const budget = 4
+	if retained > budget {
+		t.Fatalf("bootstrap snapshot retains %.2f MB, budget %d MB", retained, budget)
+	}
+}
+
+// liveHeap returns the live heap after two collections.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
+}
+
 // Publishing a shard costs a constant number of allocations, not one per
 // vertex: a fully dirty copy-on-write publish over 5 shards and ≈ 20 000
 // vertices stays within a small budget per shard republished.
 func TestSnapshotPublishAllocsPerShard(t *testing.T) {
 	const n = 5*graph.ShardSize - 100
-	st := ringState(t, n, 3)
+	st := ringState(t, n, 20, 3)
 	det := seqDet{st}
 	prev := newSnapshot(0, det, postprocess.Config{}, core.UpdateStats{})
 	dirty := make([]uint32, n)
@@ -440,10 +488,11 @@ func TestSnapshotPublishAllocsPerShard(t *testing.T) {
 		t.Fatalf("fully dirty publish republished %d of %d shards, want 5", republished, prev.NumShards())
 	}
 	// Per shard: the adjacency's header, presence flags, row spine and
-	// neighbor slab, and the snapshot shard's header, label spine and label
-	// slab (7). Per snapshot: its header, cover, shard spine and reclone
-	// flags (4). The budget leaves one of slack each.
-	const perShard, perSnapshot = 8, 5
+	// neighbor slab, and the snapshot shard's header and label spine (6);
+	// the label rows are the detector's own, so none is copied. Per
+	// snapshot: its header, cover, shard spine and reclone flags (4). The
+	// budget leaves one of slack each.
+	const perShard, perSnapshot = 7, 5
 	if budget := float64(perShard*republished + perSnapshot); allocs > budget {
 		t.Fatalf("fully dirty publish: %.0f allocs for %d shards of %d vertices, budget %.0f",
 			allocs, republished, n, budget)

@@ -12,36 +12,27 @@ import (
 )
 
 // snapShard is one immutable shard of a snapshot: the frozen adjacency of
-// the vertices in its ID range plus their frozen label rows, indexed by
-// the same local offset. Shards are never mutated after construction, so
-// consecutive snapshots share every shard the intervening batch did not
-// dirty.
+// the vertices in its ID range plus their label rows, indexed by the same
+// local offset. The rows are the detector's own slices, frozen by
+// Detector.Freeze when the shard was captured: the detector writes a
+// changed row to a copy, never to a row a snapshot holds. Shards are never
+// mutated after construction, so consecutive snapshots share every shard
+// the intervening batch did not dirty.
 type snapShard struct {
 	adj    *graph.AdjShard
 	labels [][]uint32 // labels[v-base]; nil for absent vertex IDs
 }
 
-// cloneShard freezes snapshot shard idx of det's current state: the
-// adjacency via graph.CloneShard and a private copy of every present
-// vertex's label sequence. Like the adjacency, the label rows share one
-// backing array sized by a counting pass, each row a cap == len window.
+// cloneShard captures snapshot shard idx of det's current state: the
+// adjacency via graph.CloneShard and the row spine of every present
+// vertex's label sequence, one slice header per vertex and no label
+// copied. The caller freezes det once the snapshot is captured.
 func cloneShard(det Detector, g *graph.Graph, idx int) *snapShard {
 	a := g.CloneShard(idx)
 	sh := &snapShard{adj: a, labels: make([][]uint32, len(a.Exists))}
-	total := 0
 	for off, ok := range a.Exists {
 		if ok {
-			total += len(det.Labels(a.Base + uint32(off)))
-		}
-	}
-	slab := make([]uint32, total)
-	for off, ok := range a.Exists {
-		if !ok {
-			continue
-		}
-		if n := copy(slab, det.Labels(a.Base+uint32(off))); n > 0 {
-			sh.labels[off] = slab[:n:n]
-			slab = slab[n:]
+			sh.labels[off] = det.Labels(a.Base + uint32(off))
 		}
 	}
 	return sh
@@ -52,9 +43,12 @@ func cloneShard(det Detector, g *graph.Graph, idx int) *snapShard {
 // fixed-size shards (graph.ShardSize IDs each) and a snapshot is an epoch
 // plus an immutable slice of shard pointers. Publishing epoch N+1 clones
 // only the shards covering the batch's dirty vertices
-// (core.UpdateStats.Dirty — effective-edit endpoints plus everything
-// correction propagation touched); every clean shard is shared
-// structurally with epoch N. Everything a query can ask — labels,
+// (core.UpdateStats.Dirty — effective-edit endpoints plus every vertex
+// whose label row changed); every clean shard is shared structurally with
+// epoch N. No label is copied to publish: a shard keeps the detector's
+// own row slices, which Detector.Freeze keeps the detector from writing
+// again (a changed row goes to a copy inside Update). Everything a query
+// can ask — labels,
 // communities, membership — is answered from the frozen shards, so a
 // snapshot stays internally consistent no matter how far the live
 // detector advances, and readers on one snapshot share a single memoized
@@ -195,10 +189,10 @@ func (x *extraction) weigh(sn *Snapshot, sc *postprocess.ExtractScratch) ([]post
 	return sc.Reweigh(&x.weights, sn, sn.Labels, sn.pcfg.Metric, sn.last.Dirty)
 }
 
-// newSnapshot freezes det's current state in full (every shard cloned):
-// the epoch-0 bootstrap and the fallback when no dirty set is available.
-// It must only be called from the maintenance goroutine (or before the
-// service starts), between batches.
+// newSnapshot captures det's current state in full (every shard cloned)
+// and freezes det: the epoch-0 bootstrap and the fallback when no dirty
+// set is available. It must only be called from the maintenance goroutine
+// (or before the service starts), between batches.
 func newSnapshot(epoch uint64, det Detector, pcfg postprocess.Config, last core.UpdateStats) *Snapshot {
 	g := det.Graph()
 	sn := &Snapshot{
@@ -210,6 +204,7 @@ func newSnapshot(epoch uint64, det Detector, pcfg postprocess.Config, last core.
 	for i := range sn.shards {
 		sn.shards[i] = cloneShard(det, g, i)
 	}
+	det.Freeze()
 	sn.republished = len(sn.shards)
 	sn.allDirty = true
 	sn.total()
@@ -219,9 +214,10 @@ func newSnapshot(epoch uint64, det Detector, pcfg postprocess.Config, last core.
 // nextSnapshot publishes det's state after one applied batch as a
 // copy-on-write successor of prev: only the shards covering dirty
 // vertices (plus any shards the ID space grew into) are recloned, the
-// rest are shared with prev. The caller guarantees dirty covers every
-// vertex whose adjacency or labels changed — for the library detectors
-// that is UpdateStats.Dirty, pinned by the epoch-hash-equivalence tests.
+// rest are shared with prev, and det is frozen again. The caller
+// guarantees dirty covers every vertex whose adjacency or labels changed —
+// for the library detectors that is UpdateStats.Dirty, pinned by the
+// epoch-hash-equivalence tests.
 func nextSnapshot(prev *Snapshot, det Detector, dirty []uint32, last core.UpdateStats) *Snapshot {
 	g := det.Graph()
 	sn := &Snapshot{
@@ -247,6 +243,7 @@ func nextSnapshot(prev *Snapshot, det Detector, dirty []uint32, last core.Update
 			sn.republished++
 		}
 	}
+	det.Freeze()
 	sn.total()
 	return sn
 }
@@ -311,8 +308,9 @@ func (sn *Snapshot) Degree(v uint32) int {
 // epoch (zero for epoch 0).
 func (sn *Snapshot) UpdateStats() core.UpdateStats { return sn.last }
 
-// Labels returns v's frozen label sequence (length T+1), or nil for
-// absent vertices. The slice is owned by the snapshot; do not mutate it.
+// Labels returns v's frozen label sequence (length T+1, cap == len), or
+// nil for absent vertices. The slice is shared with the detector and
+// with every later snapshot the row did not change in; do not mutate it.
 func (sn *Snapshot) Labels(v uint32) []uint32 {
 	sh := sn.shardFor(v)
 	if sh == nil || !sh.adj.Has(v) {

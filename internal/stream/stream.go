@@ -36,10 +36,12 @@
 // graph.ShardSize IDs, a Snapshot is an epoch plus an immutable slice of
 // shard pointers, and publishing epoch N+1 reclones only the dirty
 // shards — those covering the batch's effective-edit endpoints and every
-// vertex correction propagation touched (core.UpdateStats.Dirty, the
-// dirty-shard rule) — while sharing every clean shard with epoch N. A
-// small batch on a large graph therefore republishes kilobytes instead
-// of the O(n·T) full label matrix; the last_publish_micros and
+// vertex whose label row changed (core.UpdateStats.Dirty, the dirty-shard
+// rule) — while sharing every clean shard with epoch N. A recloned shard
+// copies its adjacency but no label: it keeps the detector's own rows,
+// which Detector.Freeze turns copy-on-write inside the detector. A
+// publish therefore costs one slice header per vertex of a dirty shard
+// instead of the O(n·T) label matrix; the last_publish_micros and
 // shards_republished counters in Stats meter exactly that. Correctness
 // is pinned by the epoch-hash-equivalence suite: every published COW
 // snapshot hashes identical to a full clone at the same epoch.
@@ -84,9 +86,10 @@ import (
 	"rslpa/internal/postprocess"
 )
 
-// Detector is the maintenance interface the service drives. It is
-// satisfied by the library's *rslpa.Detector in every execution mode; any
-// detector that is safe for single-goroutine use works.
+// Detector is the maintenance interface the service drives. The
+// library's detectors satisfy it through thin adapters that forward to
+// the engine (the root package's service adapter over *rslpa.Detector in
+// every execution mode, and the follower's over core.State).
 type Detector interface {
 	// Update applies a batch of edge edits and incrementally repairs the
 	// detection state. The returned UpdateStats.Dirty must cover every
@@ -96,7 +99,12 @@ type Detector interface {
 	// forces a full-clone publish, which is always safe.
 	Update(batch []graph.Edit) (core.UpdateStats, error)
 	// Labels returns a vertex's label sequence (nil for absent vertices).
+	// Snapshots keep the returned slice itself, not a copy.
 	Labels(v uint32) []uint32
+	// Freeze promises that no slice Labels has returned so far is written
+	// again: a later Update that changes such a row writes a fresh copy.
+	// Every snapshot calls it once its rows are captured.
+	Freeze()
 	// Graph returns the detector's current graph (read-only).
 	Graph() *graph.Graph
 	// Save checkpoints the detector state.

@@ -22,6 +22,7 @@ type seqDet struct{ st *core.State }
 
 func (d seqDet) Update(b []graph.Edit) (core.UpdateStats, error) { return d.st.Update(b), nil }
 func (d seqDet) Labels(v uint32) []uint32                        { return d.st.Labels(v) }
+func (d seqDet) Freeze()                                         { d.st.Freeze() }
 func (d seqDet) Graph() *graph.Graph                             { return d.st.Graph() }
 func (d seqDet) Save(w io.Writer) error                          { return d.st.SaveCheckpoint(w) }
 

@@ -88,13 +88,23 @@ type Service struct {
 	ring *obs.TraceRing
 }
 
-// canonDetector hands the service's batches straight to the underlying
-// engine: the coalescer already emits canonical batches, so routing them
-// through Detector.Update would only re-canonicalize a fixed point.
+// canonDetector adapts a Detector to stream.Detector. It hands the
+// service's batches straight to the underlying engine: the coalescer
+// already emits canonical batches, so routing them through Detector.Update
+// would only re-canonicalize a fixed point. Freeze reaches the engine the
+// same way, so the service's snapshots share its label rows.
 type canonDetector struct{ *Detector }
 
 func (d canonDetector) Update(batch []Edit) (UpdateStats, error) {
 	return d.applyCanonical(batch)
+}
+
+func (d canonDetector) Freeze() {
+	if d.seq != nil {
+		d.seq.Freeze()
+		return
+	}
+	d.dst.Freeze()
 }
 
 // NewService starts a Service over det. The extraction configuration
@@ -226,7 +236,8 @@ func (s Snapshot) Degree(v uint32) int { return s.sn.Degree(v) }
 func (s Snapshot) UpdateStats() UpdateStats { return s.sn.UpdateStats() }
 
 // Labels returns v's frozen label sequence (length T+1), or nil for
-// absent vertices. Do not mutate the returned slice.
+// absent vertices. The slice is shared with the detector, which never
+// writes it again; do not mutate it.
 func (s Snapshot) Labels(v uint32) []uint32 { return s.sn.Labels(v) }
 
 // Communities returns the snapshot's overlapping communities, extracted

@@ -425,6 +425,79 @@ func TestServiceDistributedSnapshotIsolation(t *testing.T) {
 	requireSameLabels(t, maxID, sn.Labels, det.Labels)
 }
 
+// A held snapshot's label rows are the detector's own slices, frozen when
+// the snapshot was published. While 60 seeded batches apply, a reader
+// checksums every row of the held epoch over and over, and the checksum
+// must never move, on the sequential engine and on two BSP workers. Under
+// -race a write to a frozen row is also reported as a data race.
+func TestServiceHeldSnapshotRowsStayFrozen(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			g := serviceGraph(t)
+			maxID := uint32(g.MaxVertexID())
+			batches, err := dynamic.Stream(g.Clone(), 8, 61, 29)
+			if err != nil {
+				t.Fatal(err)
+			}
+			det, err := rslpa.Detect(g, rslpa.Config{T: 30, Seed: 5, Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			svc, err := rslpa.NewService(det, rslpa.ServiceOptions{FlushInterval: time.Hour})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer svc.Close()
+			apply := func(b []rslpa.Edit) {
+				t.Helper()
+				if err := svc.Submit(b...); err != nil {
+					t.Fatal(err)
+				}
+				if err := svc.Drain(); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			apply(batches[0])
+			held := svc.Snapshot()
+			checksum := func() uint64 { return labelHash(maxID, held.NumEdges(), held.Labels) }
+			want := checksum()
+
+			var stop, moved atomic.Bool
+			var passes atomic.Int64
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				for !stop.Load() {
+					if checksum() != want {
+						moved.Store(true)
+					}
+					passes.Add(1)
+				}
+			}()
+			for _, b := range batches[1:] {
+				apply(b)
+			}
+			stop.Store(true)
+			<-done
+
+			head := svc.Snapshot()
+			if head.Epoch() < held.Epoch()+60 {
+				t.Fatalf("head at epoch %d, held %d: want ≥ 60 batches applied", head.Epoch(), held.Epoch())
+			}
+			if labelHash(maxID, head.NumEdges(), head.Labels) == want {
+				t.Fatal("the batches changed no label: the test would prove nothing")
+			}
+			if moved.Load() || checksum() != want {
+				t.Fatalf("held epoch %d's rows changed while %d batches applied (%d reader passes)",
+					held.Epoch(), head.Epoch()-held.Epoch(), passes.Load())
+			}
+			t.Logf("held epoch %d unchanged over %d batches and %d reader passes",
+				held.Epoch(), head.Epoch()-held.Epoch(), passes.Load())
+		})
+	}
+}
+
 // A service restarted from its checkpoint resumes maintenance
 // bit-identically to a detector that never stopped.
 func TestServiceCheckpointResume(t *testing.T) {
