@@ -427,11 +427,10 @@ func BenchmarkWebGraphGenerate(b *testing.B) {
 
 // BenchmarkUpdate sweeps batch size × T for the distributed incremental
 // Update at P=4 on the web fixture, reporting the sparse correction
-// schedule's actual supersteps (rounds-run) against the fixed three-
-// rounds-per-level schedule's budget (rounds-dense = 1+3T, what every
-// Update paid before idle-level skipping): small batches dirty few levels
-// and collapse most of the budget, large batches converge to dense but
-// never exceed it. The CI bench-smoke job archives these counters as
+// schedule's actual supersteps (rounds-run) against the budget of a dense
+// request/reply schedule that pays three rounds at every level
+// (rounds-dense = 1+3T): small batches dirty few levels and collapse most
+// of the budget, and large batches converge to T+2, one round per level. The CI bench-smoke job archives these counters as
 // BENCH_update.json, so the rounds-per-Update trend is tracked per PR.
 func BenchmarkUpdate(b *testing.B) {
 	fixtures(b)

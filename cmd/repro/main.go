@@ -1,8 +1,8 @@
 // Command repro regenerates every table and figure of the paper's
 // evaluation (Section V) plus the model-validation and ablation studies
 // described in README.md's reproduction section. Each experiment prints
-// the same rows/series the paper reports; EXPERIMENTS.md records
-// paper-vs-measured values.
+// the same rows/series the paper reports; no ledger of paper-vs-measured
+// values is committed yet.
 //
 // Usage:
 //

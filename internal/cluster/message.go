@@ -95,10 +95,17 @@ func (m Message) appendTo(buf []byte) []byte {
 	return buf
 }
 
-// decodeMessage reads one encoded message from r.
-func decodeMessage(r reader) (Message, error) {
-	var hdr [headerSize]byte
-	if _, err := readFull(r, hdr[:]); err != nil {
+// decoder decodes messages through a staging buffer it keeps, so a
+// header-only message costs no allocation and a payload message exactly
+// one, its []uint32. The TCP transport keeps one per link.
+type decoder struct{ stage [4096]byte }
+
+// decodeMessage reads one encoded message from r with a one-shot decoder.
+func decodeMessage(r reader) (Message, error) { return new(decoder).decode(r) }
+
+func (d *decoder) decode(r reader) (Message, error) {
+	hdr := d.stage[:headerSize]
+	if _, err := readFull(r, hdr); err != nil {
 		return Message{}, err
 	}
 	m := Message{
@@ -106,20 +113,23 @@ func decodeMessage(r reader) (Message, error) {
 		A:    binary.LittleEndian.Uint32(hdr[1:]),
 		B:    binary.LittleEndian.Uint32(hdr[5:]),
 	}
-	n := binary.LittleEndian.Uint32(hdr[9:])
+	n := int(binary.LittleEndian.Uint32(hdr[9:]))
 	if n == 0 {
 		return m, nil
 	}
 	if n > MaxPayloadWords {
 		return Message{}, fmt.Errorf("payload of %d words exceeds max %d", n, MaxPayloadWords)
 	}
-	raw := make([]byte, 4*n)
-	if _, err := readFull(r, raw); err != nil {
-		return Message{}, err
-	}
 	m.Payload = make([]uint32, n)
-	for i := range m.Payload {
-		m.Payload[i] = binary.LittleEndian.Uint32(raw[4*i:])
+	for i := 0; i < n; {
+		raw := d.stage[:4*min(n-i, len(d.stage)/4)]
+		if _, err := readFull(r, raw); err != nil {
+			return Message{}, err
+		}
+		for j := 0; j < len(raw); j += 4 {
+			m.Payload[i] = binary.LittleEndian.Uint32(raw[j:])
+			i++
+		}
 	}
 	return m, nil
 }

@@ -17,39 +17,27 @@ package cluster
 // ballot arrived at all.
 const AllMinIdle = ^uint32(0)
 
-// EmitAllMin broadcasts one (val, flag) ballot to all p workers under the
-// given message kind, piggybacking on the superstep the caller is already
+// EmitAllMin broadcasts one val ballot to all p workers under the given
+// message kind, piggybacking on the superstep the caller is already
 // running: every worker receives every ballot in the next round's inbox
 // and folds them with ReduceAllMin, so all workers reach the same verdict
 // without a dedicated barrier.
-func EmitAllMin(emit Emitter, p int, kind uint8, val uint32, flag bool) {
-	b := uint32(0)
-	if flag {
-		b = 1
-	}
+func EmitAllMin(emit Emitter, p int, kind uint8, val uint32) {
 	for to := 0; to < p; to++ {
-		emit(to, Message{Kind: kind, A: val, B: b})
+		emit(to, Message{Kind: kind, A: val})
 	}
 }
 
 // ReduceAllMin folds the kind-tagged ballots of one inbox: val is the
-// minimum balloted value (AllMinIdle when nobody voted) and flag is the
-// AND of the flags attached to the winning value's ballots — "everyone
-// who nominated the minimum can also handle it locally". votes counts the
+// minimum balloted value (AllMinIdle when nobody voted). votes counts the
 // folded ballots so callers can assert participation.
-func ReduceAllMin(inbox []Message, kind uint8) (val uint32, flag bool, votes int) {
-	val, flag = AllMinIdle, true
+func ReduceAllMin(inbox []Message, kind uint8) (val uint32, votes int) {
+	val = AllMinIdle
 	for _, m := range inbox {
-		if m.Kind != kind {
-			continue
-		}
-		votes++
-		switch {
-		case m.A < val:
-			val, flag = m.A, m.B != 0
-		case m.A == val && val != AllMinIdle:
-			flag = flag && m.B != 0
+		if m.Kind == kind {
+			votes++
+			val = min(val, m.A)
 		}
 	}
-	return val, flag, votes
+	return val, votes
 }

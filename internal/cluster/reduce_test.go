@@ -3,23 +3,21 @@ package cluster
 import "testing"
 
 // TestAllMinPiggybackAgreement runs the piggybacked all-reduce over a real
-// engine round on both transports: every worker ballots a value+flag while
+// engine round on both transports: every worker ballots a value while
 // doing its normal emissions, and in the next round every worker folds the
-// same inbox to the same (min, flag) verdict with zero extra supersteps.
+// same inbox to the same minimum with zero extra supersteps.
 func TestAllMinPiggybackAgreement(t *testing.T) {
 	const kind = uint8(0x42)
 	cases := []struct {
-		name     string
-		vals     []uint32
-		flags    []bool
-		wantVal  uint32
-		wantFlag bool
+		name    string
+		vals    []uint32
+		wantVal uint32
 	}{
-		{"min-wins", []uint32{9, 3, 7}, []bool{false, true, true}, 3, true},
-		{"flag-ANDs-at-min", []uint32{5, 5, 8}, []bool{true, false, true}, 5, false},
-		{"loser-flag-ignored", []uint32{2, 6, 6}, []bool{true, false, false}, 2, true},
-		{"silent-workers", []uint32{AllMinIdle, 4, AllMinIdle}, []bool{false, true, false}, 4, true},
-		{"all-idle", []uint32{AllMinIdle, AllMinIdle, AllMinIdle}, []bool{false, false, false}, AllMinIdle, true},
+		{"min-wins", []uint32{9, 3, 7}, 3},
+		{"tied-min", []uint32{5, 5, 8}, 5},
+		{"tied-losers", []uint32{2, 6, 6}, 2},
+		{"silent-workers", []uint32{AllMinIdle, 4, AllMinIdle}, 4},
+		{"all-idle", []uint32{AllMinIdle, AllMinIdle, AllMinIdle}, AllMinIdle},
 	}
 	for _, kindT := range transports(t) {
 		for _, tc := range cases {
@@ -30,16 +28,15 @@ func TestAllMinPiggybackAgreement(t *testing.T) {
 				}
 				defer e.Close()
 				got := make([]uint32, len(tc.vals))
-				gotFlag := make([]bool, len(tc.vals))
 				votes := make([]int, len(tc.vals))
 				step := func(w, round int, inbox []Message, emit Emitter) (bool, error) {
 					if round == 0 {
 						if tc.vals[w] != AllMinIdle {
-							EmitAllMin(emit, e.Workers(), kind, tc.vals[w], tc.flags[w])
+							EmitAllMin(emit, e.Workers(), kind, tc.vals[w])
 						}
 						return true, nil
 					}
-					got[w], gotFlag[w], votes[w] = ReduceAllMin(inbox, kind)
+					got[w], votes[w] = ReduceAllMin(inbox, kind)
 					return false, nil
 				}
 				if _, err := e.RunRounds(step, 2); err != nil {
@@ -52,9 +49,8 @@ func TestAllMinPiggybackAgreement(t *testing.T) {
 					}
 				}
 				for w := range got {
-					if got[w] != tc.wantVal || gotFlag[w] != tc.wantFlag {
-						t.Fatalf("worker %d reduced (%d, %v), want (%d, %v)",
-							w, got[w], gotFlag[w], tc.wantVal, tc.wantFlag)
+					if got[w] != tc.wantVal {
+						t.Fatalf("worker %d reduced %d, want %d", w, got[w], tc.wantVal)
 					}
 					if votes[w] != voting {
 						t.Fatalf("worker %d folded %d ballots, want %d", w, votes[w], voting)

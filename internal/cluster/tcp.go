@@ -20,21 +20,23 @@ import (
 // directions is what prevents write-write deadlock on large rounds.
 type tcpTransport struct {
 	p     int
-	conns [][]net.Conn      // conns[w][q] = connection between w and q (nil for w==q)
-	rds   [][]*bufio.Reader // buffered reader per connection, per owning worker
-	wrs   [][]*bufio.Writer
+	links [][]*link // links[w][q] = worker w's end of its link to q (nil for w==q)
 	round uint32
 }
 
+// link is one worker's end of a mesh connection: buffered both ways, with
+// its own decoder so reading a frame reuses one staging buffer.
+type link struct {
+	conn net.Conn
+	rd   *bufio.Reader
+	wr   *bufio.Writer
+	dec  decoder
+}
+
 func newTCPTransport(p int) (*tcpTransport, error) {
-	t := &tcpTransport{p: p}
-	t.conns = make([][]net.Conn, p)
-	t.rds = make([][]*bufio.Reader, p)
-	t.wrs = make([][]*bufio.Writer, p)
-	for w := 0; w < p; w++ {
-		t.conns[w] = make([]net.Conn, p)
-		t.rds[w] = make([]*bufio.Reader, p)
-		t.wrs[w] = make([]*bufio.Writer, p)
+	t := &tcpTransport{p: p, links: make([][]*link, p)}
+	for w := range t.links {
+		t.links[w] = make([]*link, p)
 	}
 
 	// One listener per worker; worker i dials every j > i and announces
@@ -105,9 +107,11 @@ func newTCPTransport(p int) (*tcpTransport, error) {
 // install registers the connection endpoint owned by worker w talking to
 // peer q.
 func (t *tcpTransport) install(w, q int, conn net.Conn) {
-	t.conns[w][q] = conn
-	t.rds[w][q] = bufio.NewReaderSize(conn, 1<<16)
-	t.wrs[w][q] = bufio.NewWriterSize(conn, 1<<16)
+	t.links[w][q] = &link{
+		conn: conn,
+		rd:   bufio.NewReaderSize(conn, 1<<16),
+		wr:   bufio.NewWriterSize(conn, 1<<16),
+	}
 }
 
 func (t *tcpTransport) Exchange(out [][][]Message) ([][]Message, error) {
@@ -126,7 +130,7 @@ func (t *tcpTransport) Exchange(out [][][]Message) ([][]Message, error) {
 				if q == w {
 					continue
 				}
-				if err := writeFrame(t.wrs[w][q], round, out[w][q]); err != nil {
+				if err := writeFrame(t.links[w][q].wr, round, out[w][q]); err != nil {
 					errCh <- fmt.Errorf("cluster: worker %d -> %d: %w", w, q, err)
 					return
 				}
@@ -141,7 +145,8 @@ func (t *tcpTransport) Exchange(out [][][]Message) ([][]Message, error) {
 				if q == w {
 					continue
 				}
-				ms, err := readFrame(t.rds[w][q], round)
+				l := t.links[w][q]
+				ms, err := l.dec.readFrame(l.rd, round)
 				if err != nil {
 					errCh <- fmt.Errorf("cluster: worker %d <- %d: %w", w, q, err)
 					return
@@ -160,10 +165,10 @@ func (t *tcpTransport) Exchange(out [][][]Message) ([][]Message, error) {
 }
 
 // writeFrame encodes one round's batch for one peer: an 8-byte frame
-// header, then each message in the variable-length encoding of Message
-// (fixed header plus length-prefixed payload). Encoding goes through a
-// per-call scratch buffer flushed in chunks so payload-heavy messages do
-// not pay a syscall per word.
+// header, then each message in the variable-length encoding of Message.
+// Messages are encoded straight into w's spare buffer, which is flushed
+// when the next one does not fit, so a frame allocates nothing unless a
+// single message outgrows the whole buffer.
 func writeFrame(w *bufio.Writer, round uint32, ms []Message) error {
 	var hdr [8]byte
 	binary.LittleEndian.PutUint32(hdr[:4], round)
@@ -171,27 +176,27 @@ func writeFrame(w *bufio.Writer, round uint32, ms []Message) error {
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
-	buf := make([]byte, 0, 1<<12)
 	for _, m := range ms {
-		buf = m.appendTo(buf)
-		if len(buf) >= 1<<12 {
-			if _, err := w.Write(buf); err != nil {
+		if m.WireSize() > w.Available() {
+			if err := w.Flush(); err != nil {
 				return err
 			}
-			buf = buf[:0]
 		}
-	}
-	if len(buf) > 0 {
-		if _, err := w.Write(buf); err != nil {
+		if _, err := w.Write(m.appendTo(w.AvailableBuffer())); err != nil {
 			return err
 		}
 	}
 	return w.Flush()
 }
 
+// readFrame reads one frame for the given round with a one-shot decoder.
 func readFrame(r *bufio.Reader, round uint32) ([]Message, error) {
-	var hdr [8]byte
-	if _, err := readFull(r, hdr[:]); err != nil {
+	return new(decoder).readFrame(r, round)
+}
+
+func (d *decoder) readFrame(r *bufio.Reader, round uint32) ([]Message, error) {
+	hdr := d.stage[:8]
+	if _, err := readFull(r, hdr); err != nil {
 		return nil, err
 	}
 	if got := binary.LittleEndian.Uint32(hdr[:4]); got != round {
@@ -203,7 +208,7 @@ func readFrame(r *bufio.Reader, round uint32) ([]Message, error) {
 	}
 	ms := make([]Message, count)
 	for i := range ms {
-		m, err := decodeMessage(r)
+		m, err := d.decode(r)
 		if err != nil {
 			return nil, err
 		}
@@ -231,13 +236,13 @@ func (t *tcpTransport) Close() error {
 	// acceptor's conn are distinct descriptors, so every non-nil entry
 	// must be closed.
 	var first error
-	for w := range t.conns {
-		for q := range t.conns[w] {
-			if c := t.conns[w][q]; c != nil {
-				if err := c.Close(); err != nil && first == nil {
+	for w := range t.links {
+		for q, l := range t.links[w] {
+			if l != nil {
+				if err := l.conn.Close(); err != nil && first == nil {
 					first = err
 				}
-				t.conns[w][q] = nil
+				t.links[w][q] = nil
 			}
 		}
 	}

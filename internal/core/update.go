@@ -23,10 +23,10 @@ type UpdateStats struct {
 	// so the count is identical across execution modes and worker counts.
 	LevelsSkipped int
 	// RoundsRun is the cost of correction propagation under the engine's
-	// own schedule: the sequential State counts one pass per non-idle level
-	// (the fully-fused lower bound every distributed run approaches), while
-	// the distributed driver counts the BSP supersteps it actually executed
-	// (the apply/repick round plus one to three rounds per non-idle level).
+	// own schedule: the sequential State counts one pass per non-idle level,
+	// while the distributed driver counts the BSP supersteps it actually
+	// executed (the apply/repick round, the record-fixup round and one
+	// round per non-idle level).
 	// A batch that dirties nothing reports zero for both counters.
 	RoundsRun int
 

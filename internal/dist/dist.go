@@ -29,18 +29,22 @@
 //   - Incremental repair (Algorithm 2) applies the batch locally, repicks
 //     affected slots with the shared core.RepickPlan rules, fixes the
 //     record lists with drop/add messages, and then runs correction
-//     propagation level-synchronously on a *sparse* schedule: every cascade
-//     round piggybacks an all-reduce-min ballot ("the lowest level I still
-//     have work at", cluster.EmitAllMin/ReduceAllMin), so all P workers
-//     jump together from the level just finished to the next globally
-//     dirty level and any run of idle levels costs zero rounds. A non-idle
-//     level costs three rounds (dirty-mark ingestion + value request,
-//     value reply, value install + cascade) — or a single fused round when
-//     the ballots agree that every request at that level is owner-local.
+//     propagation level-synchronously on a *sparse* schedule: every round
+//     piggybacks an all-reduce-min ballot ("the lowest level I still have
+//     work at", cluster.EmitAllMin/ReduceAllMin), so all P workers jump
+//     together from the level just finished to the next globally dirty
+//     level and any run of idle levels costs zero rounds. Values are
+//     pushed, never requested: a record add subscribes the repicked slot
+//     to its new source, whose owner pushes the value in the fixup round,
+//     and a level that changes a label pushes the new value to every slot
+//     that copied it. A non-idle level therefore costs one round (install
+//     the pushed values, cascade the changes), and an Update costs the
+//     apply round, the fixup round and one round per non-idle level.
 //     Because the schedule visits the non-idle levels in increasing order
-//     and a pick's position is always below its level, a level still only
-//     reads labels that earlier levels have finalized — exactly the
-//     invariant the sequential Update exploits, preserved under skipping.
+//     and a pick's position is always below its level, every value a level
+//     installs was pushed after the level it was read at had been
+//     finalized — exactly the invariant the sequential Update exploits,
+//     preserved under skipping.
 //
 // Because every random decision is a pure function of
 // (seed, epoch, vertex, iteration) and the per-worker adjacency shards
@@ -67,9 +71,9 @@ const (
 	// kindAddRec appends record {Pos: B, Tar: payload[0], Iter: payload[1]}
 	// at source A.
 	kindAddRec
-	// kindDirty marks vertex A's slot B for correction at level B
-	// (header-only).
-	kindDirty
+	// kindPush delivers payload [label] to vertex A's slot B for
+	// correction at level B: the finalized value of the slot's source.
+	kindPush
 	// kindSeqRLE ships vertex A's full label sequence, sorted and
 	// run-length encoded: payload [label, count, label, count, ...] — the
 	// exact histogram the weight computation consumes, in one message.
@@ -96,8 +100,7 @@ const (
 	kindSpeak
 	// kindAgree is one worker's sparse-Update schedule ballot (see
 	// cluster.EmitAllMin): A is the lowest level the sender still has
-	// correction work at, B is 1 when every request the sender knows of at
-	// that level is owner-local (the level can run fused).
+	// correction work at (header-only).
 	kindAgree
 )
 

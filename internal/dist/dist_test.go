@@ -49,9 +49,13 @@ func newEngine(t *testing.T, workers int) *cluster.Engine {
 // requireSameStats asserts distributed UpdateStats match the sequential
 // ones on every mode-independent field, and that the distributed RoundsRun
 // (the only schedule-dependent field: actual BSP supersteps, where the
-// sequential engine counts the fused one-pass-per-active-level lower
-// bound) stays within the sparse schedule's envelope — at least one round
-// per non-idle level plus the apply round, at most three.
+// sequential engine counts one pass per non-idle level) is exactly what
+// the push schedule costs: the apply round, the record-fixup round and one
+// round per non-idle level.
+// updateRoundsFixed is the push schedule's per-batch overhead in rounds:
+// the apply/repick round and the record-fixup round.
+const updateRoundsFixed = 2
+
 func requireSameStats(t *testing.T, ss, ds core.UpdateStats, T int) {
 	t.Helper()
 	if ss.RoundsRun == 0 {
@@ -59,9 +63,9 @@ func requireSameStats(t *testing.T, ss, ds core.UpdateStats, T int) {
 		if ds.RoundsRun != 0 {
 			t.Fatalf("distributed RoundsRun = %d for a batch that dirtied nothing", ds.RoundsRun)
 		}
-	} else if active := T - ss.LevelsSkipped; ds.RoundsRun < 1+active || ds.RoundsRun > 1+3*active {
-		t.Fatalf("distributed RoundsRun = %d outside sparse envelope [%d, %d] for %d active levels",
-			ds.RoundsRun, 1+active, 1+3*active, active)
+	} else if active := T - ss.LevelsSkipped; ds.RoundsRun != active+updateRoundsFixed {
+		t.Fatalf("distributed RoundsRun = %d, want %d active levels + %d",
+			ds.RoundsRun, active, updateRoundsFixed)
 	}
 	ds.RoundsRun = ss.RoundsRun
 	if !reflect.DeepEqual(ss, ds) {

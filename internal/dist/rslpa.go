@@ -34,10 +34,10 @@ type RSLPA struct {
 	PropagateStats cluster.Stats
 	// LastUpdate reports the wire cost of the most recent Update call;
 	// here Rounds counts raw BSP supersteps of the sparse schedule: the
-	// apply/repick round, then one round (fused) to three rounds per
+	// apply/repick round, the record-fixup round, then one round per
 	// non-idle correction level — runs of idle levels cost zero rounds,
 	// skipped by the piggybacked AllReduce-min agreement, so the count is
-	// O(active levels), not O(T).
+	// 2 + active levels, not O(T).
 	LastUpdate cluster.Stats
 	// LastPostprocess reports the wire cost of the most recent Postprocess
 	// call on this driver (raw BSP supersteps, messages, bytes).
@@ -167,10 +167,10 @@ func (d *RSLPA) Propagate() error {
 // are truncated rather than freed, so a steady-state batch reuses the
 // previous batch's storage (the distributed mirror of core's updArena).
 type updScratch struct {
-	stats  core.UpdateStats
-	dirtyQ [][]uint32 // dirtyQ[t]: owned slots awaiting a value request
-	gen    uint32     // current Update generation (0 = never used)
-	stamp  []uint64   // stamp[v] = gen<<32|level: v drained at level (dedup)
+	stats core.UpdateStats
+	queue [][]pushed // queue[t]: values pushed to owned slots at level t
+	gen   uint32     // current Update generation (0 = never used)
+	stamp []uint64   // stamp[v] = gen<<32|level: v drained at level (dedup)
 	// touched collects this worker's owned vertices whose adjacency or
 	// labels changed (UpdateStats.Dirty); owners are disjoint, so the
 	// concatenation over workers is duplicate-free and equals the
@@ -182,16 +182,18 @@ type updScratch struct {
 	deltas   core.DeltaAcc // batch net-delta accumulation (map-free)
 	arrivals []uint32      // repick-plan arrival scratch
 
-	phase     uint8 // role of the next round this worker executes
 	lo        int32 // schedule floor: no queued level below lo remains
-	remoteMin int32 // lowest level a remote mark was emitted at this round
+	remoteMin int32 // lowest level a remote push was emitted at this round
 	levels    int   // levels scheduled so far (identical on every worker)
 }
+
+// pushed is one value pushed to slot (v, level) of an owned vertex.
+type pushed struct{ v, val uint32 }
 
 // reset prepares the scratch for a new Update run, recycling every backing
 // array. On the once-in-4-billion uint32 generation wraparound the stamp
 // arrays are hard-cleared so stale marks can never alias a live one.
-func (u *updScratch) reset(maxLvl int32) {
+func (u *updScratch) reset() {
 	u.stats = core.UpdateStats{}
 	u.gen++
 	if u.gen == 0 {
@@ -201,22 +203,13 @@ func (u *updScratch) reset(maxLvl int32) {
 	}
 	u.touched = u.touched[:0]
 	u.deltas.Reset()
-	u.phase = phaseAgree
 	u.lo = 1
-	u.remoteMin = maxLvl
 	u.levels = 0
 }
 
-// Correction-propagation round roles. All workers transition identically
-// because every transition is decided by the same reduced ballots.
-const (
-	phaseAgree   uint8 = iota // fold ballots, then run R1 or a fused level
-	phaseServe                // answer value requests (R2)
-	phaseInstall              // install values, cascade, ballot (R3)
-)
-
-func (u *updScratch) mark(v uint32, t int32) {
-	u.dirtyQ[t] = append(u.dirtyQ[t], v)
+// enqueue queues value val for owned slot (v, t).
+func (u *updScratch) enqueue(v uint32, t int32, val uint32) {
+	u.queue[t] = append(u.queue[t], pushed{v, val})
 }
 
 // ensureStamp grows the stamp arrays to cover n vertex IDs (new vertices
@@ -259,30 +252,33 @@ func (d *RSLPA) Update(batch []graph.Edit) (core.UpdateStats, error) {
 	return stats, nil
 }
 
-// correct runs Correction Propagation over the partitions. Round 0 calls
-// seed on every worker (Update's batch apply + repick, which queues local
-// dirty marks and emits record fixups); every subsequent round is scheduled
-// sparsely:
+// correct runs Correction Propagation over the partitions, pushing values
+// to the slots that read them instead of having readers ask:
 //
-//   - Each cascade round (round 0, an R3, or a fused round) piggybacks one
-//     ballot per worker — the lowest level it still has work at, counting
-//     both its local queues and the marks it just emitted — via
-//     cluster.EmitAllMin; idle workers stay silent. No extra barrier: the
-//     ballots ride the round's existing exchange.
-//   - The next round every worker folds the same P ballots with
-//     cluster.ReduceAllMin, so all workers agree on the next non-idle
-//     level and jump to it together; any run of idle levels collapses to
-//     zero rounds, and when no ballot arrives at all the run quiesces.
-//   - A level whose ballots all carry the owner-local flag runs fused:
-//     requests are answered from the worker's own shard and the install +
-//     cascade happen in the same round, so a fully-local level costs one
-//     round instead of three.
+//   - Round 0 calls seed on every worker (Update's batch apply + repick,
+//     which emits the record drop/add fixups).
+//   - Round 1 ingests the fixups. A record add is a subscription: the
+//     source's owner pushes the slot its current value l^pos_src at once,
+//     and should that value change at level pos later in the run, the
+//     cascade pushes the corrected one, because the record is installed
+//     by then.
+//   - Every later round is one correction level. Each round that pushes
+//     (round 1 and every level round) piggybacks one ballot per worker —
+//     the lowest level it still has work at, counting both its own queues
+//     and the pushes it just emitted — via cluster.EmitAllMin; idle
+//     workers stay silent. The next round every worker folds the same P
+//     ballots with cluster.ReduceAllMin, so all workers agree on the next
+//     non-idle level, install the values queued at it and cascade every
+//     changed one in a single round. Runs of idle levels cost zero rounds,
+//     and when no ballot arrives at all the run quiesces.
 //
-// Skipping preserves the level invariant: the schedule visits non-idle
-// levels in increasing order (cascades only target higher levels, and the
-// reduced minimum accounts for in-flight marks through their sender's
-// ballot), so a level still reads only labels that earlier levels have
-// finalized.
+// So an Update with A non-idle levels costs exactly A + 2 rounds. The
+// schedule visits non-idle levels in increasing order and a slot's pos is
+// below its level, so every value pushed to a level is queued before the
+// level runs. A slot receives at most two pushes per batch — its
+// subscription's in round 1, then its source's cascade if l^pos_src
+// changes at level pos — in that order, so the last value queued for it
+// is the final l^pos_src.
 func (d *RSLPA) correct(seed func(w int, sh *shard, sc *updScratch, emit cluster.Emitter)) (core.UpdateStats, error) {
 	T := d.cfg.T
 	maxLvl := int32(T) + 1
@@ -291,92 +287,67 @@ func (d *RSLPA) correct(seed func(w int, sh *shard, sc *updScratch, emit cluster
 	if d.scratch == nil {
 		d.scratch = make([]*updScratch, d.eng.Workers())
 		for w := range d.scratch {
-			d.scratch[w] = &updScratch{dirtyQ: make([][]uint32, T+1)}
+			d.scratch[w] = &updScratch{queue: make([][]pushed, T+1)}
 		}
 	}
 	scratch := d.scratch
 	for _, sc := range scratch {
-		sc.reset(maxLvl)
+		sc.reset()
 	}
 
 	step := func(w, round int, inbox []cluster.Message, emit cluster.Emitter) (bool, error) {
 		sh := d.shards[w]
 		sc := scratch[w]
+		sc.remoteMin = maxLvl
 		if round == 0 {
-			sc.remoteMin = maxLvl
 			seed(w, sh, sc, emit)
-			d.ballot(sh, sc, w, emit)
-			return false, nil
+			// Work queued without a message still needs round 1's ballot.
+			return d.nextLevel(sc) <= T, nil
 		}
-		switch sc.phase {
-		case phaseAgree:
-			// Ingest everything in flight: record fixups (round 1 only),
-			// dirty marks from the previous cascade round, and the ballots.
-			for _, m := range inbox {
-				switch m.Kind {
-				case kindDropRec:
-					sh.recv[m.A] = core.DropRecord(sh.recv[m.A], core.Record{
-						Tar: m.Payload[0], Pos: uint16(m.B), Iter: uint16(m.Payload[1]),
-					})
-				case kindAddRec:
-					sh.recv[m.A] = core.AppendRecord(sh.recv[m.A], core.Record{
-						Tar: m.Payload[0], Pos: uint16(m.B), Iter: uint16(m.Payload[1]),
-					})
-				case kindDirty:
-					sc.mark(m.A, int32(m.B))
-				}
+		for _, m := range inbox {
+			switch m.Kind {
+			case kindDropRec:
+				sh.recv[m.A] = core.DropRecord(sh.recv[m.A], core.Record{
+					Tar: m.Payload[0], Pos: uint16(m.B), Iter: uint16(m.Payload[1]),
+				})
+			case kindAddRec:
+				sh.recv[m.A] = core.AppendRecord(sh.recv[m.A], core.Record{
+					Tar: m.Payload[0], Pos: uint16(m.B), Iter: uint16(m.Payload[1]),
+				})
+				d.push(sc, w, m.Payload[0], int32(m.Payload[1]), sh.labels[m.A][m.B], emit)
+			case kindPush:
+				sc.enqueue(m.A, int32(m.B), m.Payload[0])
 			}
-			next, fused, _ := cluster.ReduceAllMin(inbox, kindAgree)
+		}
+		if round > 1 {
+			next, _ := cluster.ReduceAllMin(inbox, kindAgree)
 			if next == cluster.AllMinIdle {
 				return false, nil // nobody has work left: quiesce
 			}
 			lvl := int32(next)
 			sc.levels++
-			if fused {
-				// R1+R2+R3 in one round: every request at lvl is
-				// owner-local, so serve, install and cascade in place.
-				sc.remoteMin = maxLvl
-				d.runFusedLevel(sh, sc, w, lvl, emit)
-				d.ballot(sh, sc, w, emit)
-				return false, nil
-			}
-			d.emitRequests(sh, sc, w, lvl, emit)
-			sc.phase = phaseServe
-		case phaseServe:
-			// R2: serve value requests (positions below the level are
-			// final, whether or not their levels were ever scheduled).
-			for _, m := range inbox {
-				tar, iter := m.Payload[0], m.Payload[1]
-				emit(d.eng.Owner(tar), cluster.Message{
-					Kind: kindPickRep, A: tar, B: iter, Payload: []uint32{sh.labels[m.A][m.B]},
-				})
-			}
-			sc.phase = phaseInstall
-		case phaseInstall:
-			// R3: install values, cascade to the slots that copied them,
-			// and ballot for the next level.
-			sc.remoteMin = maxLvl
-			for _, m := range inbox {
-				v, t, val := m.A, int32(m.B), m.Payload[0]
-				if sh.labels[v][t] == val {
-					continue
+			sc.drainLevel(sh, lvl, func(v, val uint32) {
+				if sh.labels[v][lvl] == val {
+					return
 				}
-				sh.rows.Set(sh.labels, v, int(t), val)
+				sh.rows.Set(sh.labels, v, int(lvl), val)
 				sc.stats.Changed++
-				d.cascade(sh, sc, w, v, t, emit)
-			}
-			d.ballot(sh, sc, w, emit)
-			sc.phase = phaseAgree
+				d.cascade(sh, sc, w, v, lvl, val, emit)
+			})
+		}
+		if next := d.nextLevel(sc); next <= T {
+			cluster.EmitAllMin(emit, d.eng.Workers(), kindAgree, uint32(next))
 		}
 		return false, nil
 	}
-	// 2 + 3T rounds is unreachable under the sparse schedule (levels are
-	// visited at most once); hitting the cap means the agreement broke.
-	rounds, err := d.eng.RunRounds(step, 2+3*T)
+	// Round 0, round 1 and one round per level: T + 3 rounds is out of
+	// reach (levels are visited at most once); hitting the cap means the
+	// agreement broke.
+	rounds, err := d.eng.RunRounds(step, T+3)
 	if err != nil {
 		return core.UpdateStats{}, err
 	}
-	if rounds >= 2+3*T {
+	if rounds >= T+3 {
 		return core.UpdateStats{}, fmt.Errorf("dist: correction schedule failed to converge in %d rounds", rounds)
 	}
 
@@ -402,105 +373,63 @@ func (d *RSLPA) correct(seed func(w int, sh *shard, sc *updScratch, emit cluster
 	return stats, nil
 }
 
-// ballot piggybacks this worker's schedule vote on the cascade round it is
-// called from: the lowest level it knows still has work (its own queues
-// plus any remote marks it emitted this round) and whether that level's
-// requests are all owner-local from its point of view. Idle workers stay
-// silent — in BSP silence is as reliable as a message, so an all-idle
-// cluster terminates the run with zero extra rounds.
-func (d *RSLPA) ballot(sh *shard, sc *updScratch, w int, emit cluster.Emitter) {
-	T := int32(d.cfg.T)
-	next := sc.remoteMin
-	for t := sc.lo; t <= T && t < next; t++ {
-		if len(sc.dirtyQ[t]) > 0 {
-			next = t
-			break
+// nextLevel is this worker's schedule vote: the lowest level it knows
+// still has work (its own queues plus any remote pushes it emitted this
+// round), or a level above T when it is idle. Idle workers stay silent —
+// in BSP silence is as reliable as a message, so an all-idle cluster
+// terminates the run with zero extra rounds.
+func (d *RSLPA) nextLevel(sc *updScratch) int {
+	next := int(sc.remoteMin)
+	for t := int(sc.lo); t < next && t <= d.cfg.T; t++ {
+		if len(sc.queue[t]) > 0 {
+			return t
 		}
 	}
-	if next > T {
-		return // idle: no ballot, no traffic
-	}
-	// An in-flight remote mark at the nominated level rules fusion out: its
-	// receiver cannot vouch for the source's locality until it ingests it.
-	local := sc.remoteMin > next
-	if local {
-		for _, v := range sc.dirtyQ[next] {
-			if d.eng.Owner(uint32(sh.src[v][next])) != w {
-				local = false
-				break
-			}
-		}
-	}
-	cluster.EmitAllMin(emit, d.eng.Workers(), kindAgree, uint32(next), local)
+	return next
 }
 
 // drainLevel drains one level's queue with the stamp-deduplicated
-// accounting both schedules share (Touched counts exactly what the
-// sequential Update counts), calling slot once per fresh mark, and
+// accounting the sequential Update uses (Touched counts each slot once),
+// calling slot once per slot with the last value pushed to it, and
 // advances the schedule floor past the level.
-func (sc *updScratch) drainLevel(sh *shard, lvl int32, slot func(v uint32)) {
+func (sc *updScratch) drainLevel(sh *shard, lvl int32, slot func(v, val uint32)) {
 	sc.ensureStamp(len(sh.exists))
 	key := uint64(sc.gen)<<32 | uint64(uint32(lvl))
-	for _, v := range sc.dirtyQ[lvl] {
+	q := sc.queue[lvl]
+	for i := len(q) - 1; i >= 0; i-- { // newest first: a later push supersedes
+		v := q[i].v
 		if sc.stamp[v] == key {
-			continue // duplicate mark within this level
+			continue // superseded push within this level
 		}
 		sc.stamp[v] = key
 		sc.touch(v)
 		sc.stats.Touched++
-		slot(v)
+		slot(v, q[i].val)
 	}
-	sc.dirtyQ[lvl] = sc.dirtyQ[lvl][:0] // recycle the queue's capacity
+	sc.queue[lvl] = q[:0] // recycle the queue's capacity
 	sc.lo = lvl + 1
 }
 
-// emitRequests is R1 for one non-fused level: ask each queued slot's
-// source owner for the finalized label value.
-func (d *RSLPA) emitRequests(sh *shard, sc *updScratch, w int, lvl int32, emit cluster.Emitter) {
-	sc.drainLevel(sh, lvl, func(v uint32) {
-		src := uint32(sh.src[v][lvl])
-		emit(d.eng.Owner(src), cluster.Message{
-			Kind: kindPickReq, A: src, B: uint32(sh.pos[v][lvl]), Payload: []uint32{v, uint32(lvl)},
-		})
-	})
-}
-
-// runFusedLevel executes a fully owner-local level in a single round:
-// every queued slot's source lives on this worker, so the value request is
-// a local array read and the install + cascade happen immediately. Bit
-// equivalence with the three-round path holds because a slot at level lvl
-// reads only positions < lvl, which are final before the level starts.
-func (d *RSLPA) runFusedLevel(sh *shard, sc *updScratch, w int, lvl int32, emit cluster.Emitter) {
-	sc.drainLevel(sh, lvl, func(v uint32) {
-		val := sh.labels[sh.src[v][lvl]][sh.pos[v][lvl]]
-		if sh.labels[v][lvl] == val {
-			return
-		}
-		sh.rows.Set(sh.labels, v, int(lvl), val)
-		sc.stats.Changed++
-		d.cascade(sh, sc, w, v, lvl, emit)
-	})
-}
-
-// cascade forwards a changed label to every slot that copied it: marks for
-// owned targets are queued directly (no self-message), marks for remote
-// targets are emitted and tracked in remoteMin so the next ballot accounts
-// for them.
-func (d *RSLPA) cascade(sh *shard, sc *updScratch, w int, v uint32, t int32, emit cluster.Emitter) {
+// cascade pushes a changed label l^t_v to every slot that copied it.
+func (d *RSLPA) cascade(sh *shard, sc *updScratch, w int, v uint32, t int32, val uint32, emit cluster.Emitter) {
 	for _, rec := range sh.recv[v] {
-		if int32(rec.Pos) != t {
-			continue
-		}
-		iter := int32(rec.Iter)
-		if owner := d.eng.Owner(rec.Tar); owner == w {
-			sc.mark(rec.Tar, iter)
-		} else {
-			emit(owner, cluster.Message{Kind: kindDirty, A: rec.Tar, B: uint32(iter)})
-			if iter < sc.remoteMin {
-				sc.remoteMin = iter
-			}
+		if int32(rec.Pos) == t {
+			d.push(sc, w, rec.Tar, int32(rec.Iter), val, emit)
 		}
 	}
+}
+
+// push delivers val to slot (tar, iter): queued directly when this worker
+// owns tar (no self-message), otherwise sent to tar's owner and tracked in
+// remoteMin so this round's ballot accounts for it.
+func (d *RSLPA) push(sc *updScratch, w int, tar uint32, iter int32, val uint32, emit cluster.Emitter) {
+	owner := d.eng.Owner(tar)
+	if owner == w {
+		sc.enqueue(tar, iter, val)
+		return
+	}
+	emit(owner, cluster.Message{Kind: kindPush, A: tar, B: uint32(iter), Payload: []uint32{val}})
+	sc.remoteMin = min(sc.remoteMin, iter)
 }
 
 // applyBatch is Update's round 0 for one worker: replay the batch against
@@ -594,10 +523,10 @@ func (d *RSLPA) applyBatch(sh *shard, sc *updScratch, w int, batch []graph.Edit,
 			}
 			sh.src[v][t] = int32(newSrc)
 			sh.pos[v][t] = newPos
+			// The record add subscribes the slot to its new source's value.
 			emit(d.eng.Owner(newSrc), cluster.Message{
 				Kind: kindAddRec, A: newSrc, B: uint32(newPos), Payload: []uint32{v, uint32(t)},
 			})
-			sc.mark(v, t)
 			sc.stats.Repicked++
 		}
 	})
