@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"rslpa"
 	"rslpa/internal/cluster"
 	"rslpa/internal/complexity"
 	"rslpa/internal/core"
@@ -426,12 +427,14 @@ func BenchmarkWebGraphGenerate(b *testing.B) {
 }
 
 // BenchmarkUpdate sweeps batch size × T for the distributed incremental
-// Update at P=4 on the web fixture, reporting the sparse correction
-// schedule's actual supersteps (rounds-run) against the budget of a dense
-// request/reply schedule that pays three rounds at every level
-// (rounds-dense = 1+3T): small batches dirty few levels and collapse most
-// of the budget, and large batches converge to T+2, one round per level. The CI bench-smoke job archives these counters as
-// BENCH_update.json, so the rounds-per-Update trend is tracked per PR.
+// Update at P=4 on the web fixture. It reports the push schedule's actual
+// supersteps (rounds-run = active levels + 2: the apply/repick round, the
+// subscription round and one round per level with dirty slots) against the
+// schedule's ceiling when every level is active (rounds-ceiling = T+2), and
+// their ratio (ceiling-x): small batches dirty few levels and run far below
+// the ceiling, large batches reach it. The CI bench-smoke job archives these
+// counters as BENCH_update.json, so the rounds-per-Update trend is tracked
+// per change.
 func BenchmarkUpdate(b *testing.B) {
 	fixtures(b)
 	for _, T := range []int{50, 200} {
@@ -449,7 +452,7 @@ func BenchmarkUpdate(b *testing.B) {
 				if err := d.Propagate(); err != nil {
 					b.Fatal(err)
 				}
-				dense := 1 + 3*T
+				ceiling := T + 2
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -465,9 +468,9 @@ func BenchmarkUpdate(b *testing.B) {
 					}
 					b.ReportMetric(float64(stats.RoundsRun), "rounds-run")
 					b.ReportMetric(float64(stats.LevelsSkipped), "levels-skipped")
-					b.ReportMetric(float64(dense), "rounds-dense")
+					b.ReportMetric(float64(ceiling), "rounds-ceiling")
 					if stats.RoundsRun > 0 {
-						b.ReportMetric(float64(dense)/float64(stats.RoundsRun), "reduction-x")
+						b.ReportMetric(float64(ceiling)/float64(stats.RoundsRun), "ceiling-x")
 					}
 				}
 			})
@@ -527,4 +530,69 @@ func BenchmarkCheckpointSaveLoad(b *testing.B) {
 		eng2.Close()
 		eng.Close()
 	}
+}
+
+// The set-up yardstick's inputs, built once: an LFR 20 000 graph (the
+// bench/ workloads' size) and a T = 200 checkpoint of it.
+var (
+	setupOnce  sync.Once
+	setupGraph *graph.Graph
+	setupCkpt  []byte
+)
+
+func setupFixture(b *testing.B) {
+	b.Helper()
+	setupOnce.Do(func() {
+		res, err := lfr.Generate(lfr.Default(20000))
+		if err != nil {
+			panic(err)
+		}
+		setupGraph = res.Graph
+		st, err := core.Run(setupGraph, core.Config{T: 200, Seed: 1})
+		if err != nil {
+			panic(err)
+		}
+		var buf bytes.Buffer
+		if err := st.SaveCheckpoint(&buf); err != nil {
+			panic(err)
+		}
+		setupCkpt = buf.Bytes()
+	})
+}
+
+// BenchmarkSetup is the fixed work a service does before its first batch
+// on LFR 20 000 / T 200: propagation on one core and on every core
+// (rslpa.Detect runs the latter), and a follower's restore, which decodes
+// an in-memory checkpoint and builds the State from it. The CI
+// bench-smoke job archives these rows as BENCH_setup.json.
+func BenchmarkSetup(b *testing.B) {
+	setupFixture(b)
+	cfg := rslpa.Config{T: 200, Seed: 1}
+	for _, row := range []struct {
+		name  string
+		cores int
+	}{{"detect/workers=1", 1}, {"detect/workers=gomaxprocs", 0}} {
+		b.Run(row.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := rslpa.DetectParallel(setupGraph, cfg, row.cores); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed())/1e6/float64(b.N), "ms/op")
+		})
+	}
+	b.Run("restore", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			c, err := core.ReadCheckpoint(bytes.NewReader(setupCkpt))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := c.BuildState(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed())/1e6/float64(b.N), "ms/op")
+	})
 }

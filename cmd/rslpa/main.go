@@ -72,7 +72,7 @@ func runDetect(args []string) {
 		T         = fs.Int("T", 0, "iterations (0 = algorithm default: 200 rSLPA, 100 SLPA; rSLPA needs T ≤ 65535)")
 		tau       = fs.Float64("tau", 0.2, "SLPA membership threshold")
 		seed      = fs.Uint64("seed", 1, "PRNG seed")
-		workers   = fs.Int("workers", 0, "rSLPA: BSP workers (0 = sequential)")
+		workers   = fs.Int("workers", 0, "rSLPA: BSP workers (0 = in-process, every core)")
 		tcp       = fs.Bool("tcp", false, "rSLPA: use loopback TCP transport")
 		out       = fs.String("out", "", "communities output file (one per line)")
 		truthPath = fs.String("truth", "", "ground-truth cover for NMI scoring")

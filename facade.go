@@ -23,11 +23,13 @@ func ReadWeightedEdgeList(r io.Reader, threshold float64) (*Graph, error) {
 	return graph.ReadWeightedEdgeList(r, threshold)
 }
 
-// DetectParallel is Detect with the label propagation fanned out across
-// CPU cores in-process (cores <= 0 selects GOMAXPROCS). The result is
-// bit-identical to sequential Detect for the same seed. Only sequential
-// (non-Workers) execution supports this mode; the returned Detector behaves
-// exactly like a sequential one (Update, Communities, Save all work).
+// DetectParallel is Detect with an explicit core count for the in-process
+// detector: each level of the propagation is split across cores (cores <= 0
+// selects GOMAXPROCS, which is what Detect uses; 1 runs on the calling
+// goroutine). The result is bit-identical at any core count, and the
+// returned Detector behaves exactly like Detect's (Update, Communities,
+// Save all work). It rejects Config.Workers > 1: the partitioned engine is
+// Detect's.
 func DetectParallel(g *Graph, cfg Config, cores int) (*Detector, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Workers > 1 {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"runtime"
 
 	"rslpa/internal/graph"
 )
@@ -249,7 +250,10 @@ func (s *State) SaveCheckpoint(w io.Writer) error {
 // The decoder is hardened against corrupt input: every claimed count is
 // either bounds-checked against a sanity cap or read incrementally, so
 // allocation stays proportional to the bytes actually consumed — corrupt
-// streams fail with an error, never a panic or an OOM.
+// streams fail with an error, never a panic or an OOM. That guarantee
+// covers decoding only: Verify, BuildGraph and BuildState size their
+// arrays by the largest vertex ID present, which a valid checkpoint of a
+// few bytes can put near 2³².
 func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	magic := make([]byte, len(checkpointMagic))
@@ -293,6 +297,7 @@ func readCheckpointV2(br *bufio.Reader) (*Checkpoint, error) {
 	}
 
 	c := &Checkpoint{CheckpointMeta: meta, Shards: make([][]VertexRecord, shardCount)}
+	var rr recordReader
 	counts := make([]int, shardCount)
 	digests := make([]uint64, shardCount)
 	for s := range c.Shards {
@@ -311,8 +316,9 @@ func readCheckpointV2(br *bufio.Reader) (*Checkpoint, error) {
 			return nil, fmt.Errorf("core: load shard %d: implausible vertex count %d", s, count)
 		}
 		recs := make([]VertexRecord, 0, min(int(count), 4096))
+		rr.r = lr
 		for i := 0; i < int(count); i++ {
-			rec, err := readVertexRecord(lr, meta.T, meta.IDSpace)
+			rec, err := rr.read(meta.T, meta.IDSpace)
 			if err != nil {
 				return nil, fmt.Errorf("core: load shard %d vertex %d: %w", s, i, err)
 			}
@@ -359,8 +365,9 @@ func readCheckpointV1(br *bufio.Reader) (*Checkpoint, error) {
 		return nil, fmt.Errorf("core: load: implausible vertex count %d", present)
 	}
 	recs := make([]VertexRecord, 0, min(int(present), 4096))
+	rr := recordReader{r: br}
 	for i := 0; i < int(present); i++ {
-		rec, err := readVertexRecord(br, meta.T, meta.IDSpace)
+		rec, err := rr.read(meta.T, meta.IDSpace)
 		if err != nil {
 			return nil, fmt.Errorf("core: load vertex %d: %w", i, err)
 		}
@@ -380,54 +387,106 @@ func checkMeta(t, seed, epoch, idSpace uint64) (CheckpointMeta, error) {
 	return CheckpointMeta{T: int(t), Seed: seed, Epoch: epoch, IDSpace: int(idSpace)}, nil
 }
 
-// readVertexRecord reads one vertex record. Slices grow incrementally so a
-// corrupt degree claim cannot allocate more than the input actually backs.
-func readVertexRecord(r io.Reader, t, idSpace int) (VertexRecord, error) {
+// nbrChunk bounds how many neighbour words one read takes, so a corrupt
+// degree claim cannot allocate more than the input actually backs.
+const nbrChunk = 4096
+
+// slabMax caps one slab allocation, in elements.
+const slabMax = 1 << 20
+
+// slab hands out exact-capacity slices carved from larger allocations. Each
+// refill is at least as large as everything handed out so far (up to
+// slabMax), so a whole checkpoint costs a few dozen allocations, and since
+// slices are taken only for bytes already read, a slab never holds more than
+// twice what the input backed.
+type slab[E any] struct {
+	free []E
+	used int
+}
+
+// take returns n zeroed elements with cap == len, so an append to one slice
+// never reaches the next.
+func (s *slab[E]) take(n int) []E {
+	if len(s.free) < n {
+		s.free = make([]E, max(n, min(s.used, slabMax)))
+	}
+	out := s.free[:n:n]
+	s.free = s.free[n:]
+	s.used += n
+	return out
+}
+
+// recordReader decodes vertex records in bulk: a record's fixed words, its
+// neighbours and its body each arrive through one reused byte buffer, and
+// the decoded slices are carved from slabs shared by the whole checkpoint.
+// The records are a decoding's own: every builder copies out of them.
+type recordReader struct {
+	r         io.Reader
+	buf       []byte
+	nbrs      []uint32 // one record's neighbours while they arrive in chunks
+	words     slab[uint32]
+	srcs      slab[int32]
+	positions slab[uint16]
+}
+
+// next returns the next n bytes (a whole number of words), valid until the
+// following call. A stream that ends on a word boundary inside them fails
+// with io.EOF and one that ends inside a word with io.ErrUnexpectedEOF, as
+// reading them a word at a time would.
+func (d *recordReader) next(n int) ([]byte, error) {
+	if cap(d.buf) < n {
+		d.buf = make([]byte, n)
+	}
+	b := d.buf[:n]
+	got, err := io.ReadFull(d.r, b)
+	if err == io.ErrUnexpectedEOF && got%4 == 0 {
+		err = io.EOF
+	}
+	return b, err
+}
+
+// read decodes one vertex record: its two fixed words, its neighbours in
+// chunks of at most nbrChunk words, and its 3T-word body in one read.
+func (d *recordReader) read(t, idSpace int) (VertexRecord, error) {
 	var rec VertexRecord
-	v, err := readU32(r)
+	b, err := d.next(4)
 	if err != nil {
 		return rec, err
 	}
+	v := binary.LittleEndian.Uint32(b)
 	if int(v) >= idSpace {
 		return rec, fmt.Errorf("vertex %d outside ID space %d", v, idSpace)
 	}
 	rec.V = v
-	deg, err := readU32(r)
-	if err != nil {
+	if b, err = d.next(4); err != nil {
 		return rec, err
 	}
-	if int(deg) >= idSpace {
+	deg := int(binary.LittleEndian.Uint32(b))
+	if deg >= idSpace {
 		return rec, fmt.Errorf("vertex %d degree %d outside ID space", v, deg)
 	}
-	rec.Nbrs = make([]uint32, 0, min(int(deg), 4096))
-	for j := 0; j < int(deg); j++ {
-		u, err := readU32(r)
-		if err != nil {
+	d.nbrs = d.nbrs[:0]
+	for left := deg; left > 0; left -= nbrChunk {
+		n := min(left, nbrChunk)
+		if b, err = d.next(4 * n); err != nil {
 			return rec, err
 		}
-		rec.Nbrs = append(rec.Nbrs, u)
-	}
-	rec.Labels = make([]uint32, t)
-	for j := range rec.Labels {
-		if rec.Labels[j], err = readU32(r); err != nil {
-			return rec, err
+		for i := range n {
+			d.nbrs = append(d.nbrs, binary.LittleEndian.Uint32(b[4*i:]))
 		}
 	}
-	rec.Src = make([]int32, t)
-	for j := range rec.Src {
-		x, err := readU32(r)
-		if err != nil {
-			return rec, err
-		}
-		rec.Src[j] = int32(x)
+	rec.Nbrs = d.words.take(deg)
+	copy(rec.Nbrs, d.nbrs)
+	if b, err = d.next(12 * t); err != nil {
+		return rec, err
 	}
-	rec.Pos = make([]uint16, t)
-	for j := range rec.Pos {
-		x, err := readU32(r)
-		if err != nil {
-			return rec, err
-		}
-		rec.Pos[j] = memPos(rec.Src[j], int32(x))
+	rec.Labels = d.words.take(t)
+	rec.Src = d.srcs.take(t)
+	rec.Pos = d.positions.take(t)
+	for j := range t {
+		rec.Labels[j] = binary.LittleEndian.Uint32(b[4*j:])
+		rec.Src[j] = int32(binary.LittleEndian.Uint32(b[4*(t+j):]))
+		rec.Pos[j] = memPos(rec.Src[j], int32(binary.LittleEndian.Uint32(b[4*(2*t+j):])))
 	}
 	return rec, nil
 }
@@ -473,7 +532,18 @@ func (c *countingReader) Read(p []byte) (int, error) {
 // therefore builds a State that passes Validate. Adjacency symmetry is
 // checked by BuildGraph.
 func (c *Checkpoint) Verify() error {
-	recOf := make(map[uint32]*VertexRecord)
+	// recOf indexes the records by vertex ID, sized by the largest ID
+	// present (as BuildGraph's adjacency is), never by the header's ID
+	// space.
+	maxID := -1
+	c.Records(func(rec *VertexRecord) { maxID = max(maxID, int(rec.V)) })
+	recOf := make([]*VertexRecord, maxID+1)
+	record := func(u uint32) *VertexRecord {
+		if int(u) < len(recOf) {
+			return recOf[u]
+		}
+		return nil
+	}
 	dup := false
 	var dupV uint32
 	c.Records(func(rec *VertexRecord) {
@@ -493,6 +563,12 @@ func (c *Checkpoint) Verify() error {
 		}
 		return recOf[u].Labels[p-1]
 	}
+	// mark[u] == gen while the record being checked lists u as a neighbour:
+	// one generation per record keeps the per-iteration source check O(1)
+	// without a set per vertex (a linear rescan of Nbrs for each of the T
+	// picks would make verification O(T·ΣdegV) on the restart path).
+	mark := make([]uint32, len(recOf))
+	var gen uint32
 	var failure error
 	c.Records(func(rec *VertexRecord) {
 		if failure != nil {
@@ -502,16 +578,13 @@ func (c *Checkpoint) Verify() error {
 			failure = fmt.Errorf("core: load: vertex %d record shape mismatch", rec.V)
 			return
 		}
-		// One set per vertex keeps the per-iteration source check O(1):
-		// a linear rescan of Nbrs for each of the T picks would make
-		// verification O(T·ΣdegV) on the restart path.
-		nbrSet := make(map[uint32]struct{}, len(rec.Nbrs))
+		gen++
 		for _, u := range rec.Nbrs {
-			if recOf[u] == nil {
+			if record(u) == nil {
 				failure = fmt.Errorf("core: load: vertex %d has absent neighbor %d", rec.V, u)
 				return
 			}
-			nbrSet[u] = struct{}{}
+			mark[u] = gen
 		}
 		for i := 0; i < c.T; i++ {
 			t := i + 1
@@ -528,7 +601,7 @@ func (c *Checkpoint) Verify() error {
 				continue
 			}
 			src := uint32(sv)
-			srcRec := recOf[src]
+			srcRec := record(src)
 			if srcRec == nil {
 				failure = fmt.Errorf("core: load: vertex %d iter %d references absent source %d", rec.V, t, sv)
 				return
@@ -542,7 +615,7 @@ func (c *Checkpoint) Verify() error {
 					failure = fmt.Errorf("core: load: vertex %d iter %d: self-pick but degree %d > 0", rec.V, t, len(rec.Nbrs))
 					return
 				}
-			} else if _, isNbr := nbrSet[src]; !isNbr {
+			} else if mark[src] != gen {
 				failure = fmt.Errorf("core: load: vertex %d iter %d: src %d is not a neighbor", rec.V, t, sv)
 				return
 			}
@@ -607,6 +680,6 @@ func (c *Checkpoint) BuildState() (*State, error) {
 	})
 	// Rebuild the reverse records from the picks (record-symmetry
 	// invariant); Verify has already vetted every reference.
-	s.buildRecords()
+	s.buildRecords(runtime.GOMAXPROCS(0))
 	return s, nil
 }

@@ -7,17 +7,23 @@ import (
 	"rslpa/internal/graph"
 )
 
-// RunParallel executes Algorithm 1 with the level loop parallelized across
-// CPU cores (workers <= 0 selects GOMAXPROCS). Because every pick's random
-// stream depends only on (seed, vertex, iteration) and reads only labels
-// from earlier iterations, vertices within one level are embarrassingly
-// parallel — the result is bit-identical to Run, which a test asserts.
+// RunParallel executes Algorithm 1 on g with each level's vertices split
+// across workers (workers <= 0 selects GOMAXPROCS) and returns the
+// resulting State. It is the only propagation loop: Run is RunParallel with
+// one worker. The graph is cloned; later mutations of g do not affect the
+// State (feed them through Update instead).
 //
-// This is in-process parallelism for a single machine, distinct from the
-// partitioned message-passing execution in internal/dist: no messages are
-// exchanged, the full state is shared, and only the per-level compute is
-// fanned out. The picks are accumulated per worker and merged at the end
-// of each level so no locking appears on the hot path.
+// A pick at level t reads only labels of levels below t and writes only its
+// own vertex's rows, so the vertices of one level are independent. Each
+// worker owns a contiguous range of vertices and sets their picks in place;
+// the wait at the end of a level is the barrier that publishes its labels
+// to the next. Every pick's random stream depends only on (seed, vertex,
+// iteration), so labels, picks and record rows are bit-identical at every
+// worker count.
+//
+// This is in-process parallelism on one machine, distinct from the
+// partitioned message-passing execution in internal/dist: the full state is
+// shared and no messages are exchanged.
 func RunParallel(g *graph.Graph, cfg Config, workers int) (*State, error) {
 	if err := CheckT(cfg.T); err != nil {
 		return nil, err
@@ -27,51 +33,34 @@ func RunParallel(g *graph.Graph, cfg Config, workers int) (*State, error) {
 	}
 	s := newState(g.Clone(), cfg)
 	vertices := s.g.Vertices()
-	if len(vertices) == 0 {
-		return s, nil
-	}
-
-	// Pre-split the vertex list into contiguous shards, one per worker.
-	shards := make([][]uint32, 0, workers)
-	per := (len(vertices) + workers - 1) / workers
-	for off := 0; off < len(vertices); off += per {
-		end := off + per
-		if end > len(vertices) {
-			end = len(vertices)
-		}
-		shards = append(shards, vertices[off:end])
-	}
-
-	type pick struct {
-		v   uint32
-		src uint32
-		pos uint16
-	}
-	picks := make([][]pick, len(shards))
-	var wg sync.WaitGroup
 	for t := 1; t <= cfg.T; t++ {
-		for si, shard := range shards {
-			si, shard := si, shard
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				out := picks[si][:0]
-				for _, v := range shard {
-					src, pos := InitialPick(s.cfg, v, t, s.g.Neighbors(v))
-					out = append(out, pick{v: v, src: src, pos: pos})
-				}
-				picks[si] = out
-			}()
-		}
-		wg.Wait()
-		// Serial merge: set the picks (labels[v][t] and src/pos) — cheap
-		// relative to the draws.
-		for _, out := range picks {
-			for _, p := range out {
-				s.setPick(p.v, t, p.src, p.pos)
+		fanOut(len(vertices), workers, func(lo, hi int) {
+			for _, v := range vertices[lo:hi] {
+				src, pos := InitialPick(s.cfg, v, t, s.g.Neighbors(v))
+				s.setPick(v, t, src, pos)
 			}
-		}
+		})
 	}
-	s.buildRecords() // the same rows, in the same order, as the sequential Run
+	s.buildRecords(workers)
 	return s, nil
+}
+
+// fanOut splits [0, n) into at most workers contiguous ranges, calls fn on
+// each concurrently and returns when every call has. The last range runs on
+// the calling goroutine, so one worker starts no goroutine.
+func fanOut(n, workers int, fn func(lo, hi int)) {
+	per := max(1, (n+workers-1)/workers)
+	var wg sync.WaitGroup
+	lo := 0
+	for ; lo+per < n; lo += per {
+		wg.Add(1)
+		go func(lo int) {
+			defer wg.Done()
+			fn(lo, lo+per)
+		}(lo)
+	}
+	if lo < n {
+		fn(lo, n)
+	}
+	wg.Wait()
 }

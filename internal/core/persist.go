@@ -105,11 +105,3 @@ func readU64(r io.Reader) (uint64, error) {
 	}
 	return binary.LittleEndian.Uint64(buf[:]), nil
 }
-
-func readU32(r io.Reader) (uint32, error) {
-	var buf [4]byte
-	if _, err := io.ReadFull(r, buf[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(buf[:]), nil
-}

@@ -95,7 +95,8 @@ type Record struct {
 
 // State is the complete, updatable result of a propagation run: the label
 // matrix, the (src, pos) choices behind it, the reverse records, and the
-// graph it was computed on. Create one with Run; evolve it with Update.
+// graph it was computed on. Create one with Run or RunParallel; evolve it
+// with Update.
 // A State is not safe for concurrent mutation.
 //
 // Per (vertex, iteration) it holds a u32 label, an i32 src, a u16 pos and
@@ -119,27 +120,11 @@ type State struct {
 	arena updArena
 }
 
-// Run executes Algorithm 1 on g and returns the resulting State. The graph
-// is cloned; later mutations of g do not affect the State (feed them through
-// Update instead).
-func Run(g *graph.Graph, cfg Config) (*State, error) {
-	if err := CheckT(cfg.T); err != nil {
-		return nil, err
-	}
-	s := newState(g.Clone(), cfg)
-
-	// Label propagation: T synchronous iterations. Every pick reads only
-	// labels from iterations < t, so a single in-order sweep per level is
-	// exactly the BSP computation of Algorithm 1.
-	for t := 1; t <= cfg.T; t++ {
-		s.g.ForEachVertex(func(v uint32) {
-			src, pos := InitialPick(s.cfg, v, t, s.g.Neighbors(v))
-			s.setPick(v, t, src, pos)
-		})
-	}
-	s.buildRecords()
-	return s, nil
-}
+// Run executes Algorithm 1 on g on the calling goroutine and returns the
+// resulting State: RunParallel with one worker. The graph is cloned; later
+// mutations of g do not affect the State (feed them through Update
+// instead).
+func Run(g *graph.Graph, cfg Config) (*State, error) { return RunParallel(g, cfg, 1) }
 
 // newState allocates the per-vertex arrays of every vertex of g, with the
 // initial label l⁰_v = v and sentinel picks; the record rows stay nil until
@@ -181,28 +166,33 @@ func (s *State) setPick(v uint32, t int, src uint32, pos uint16) {
 // buildRecords derives every reverse record from the picks, sizing each
 // source's row exactly: one sweep counts the picks per source, a second
 // fills the rows in (iteration, vertex) order — the order Algorithm 1
-// installs them in.
-func (s *State) buildRecords() {
-	count := make([]int32, len(s.recv))
-	s.g.ForEachVertex(func(v uint32) {
-		for _, src := range s.src[v][1:] {
-			if src >= 0 {
-				count[src]++
+// installs them in. Each of the workers owns a contiguous range of source
+// IDs and writes only those rows, so the rows are the same at every worker
+// count.
+func (s *State) buildRecords(workers int) {
+	vertices := s.g.Vertices()
+	fanOut(len(s.recv), workers, func(lo, hi int) {
+		count := make([]int32, hi-lo)
+		for _, v := range vertices {
+			for _, src := range s.src[v][1:] {
+				if int(src) >= lo && int(src) < hi {
+					count[int(src)-lo]++
+				}
+			}
+		}
+		for i, n := range count {
+			if n > 0 {
+				s.recv[lo+i] = make([]Record, 0, n)
+			}
+		}
+		for t := 1; t <= s.cfg.T; t++ {
+			for _, v := range vertices {
+				if src := int(s.src[v][t]); src >= lo && src < hi {
+					s.recv[src] = append(s.recv[src], Record{Tar: v, Pos: s.pos[v][t], Iter: uint16(t)})
+				}
 			}
 		}
 	})
-	for v, n := range count {
-		if n > 0 {
-			s.recv[v] = make([]Record, 0, n)
-		}
-	}
-	for t := 1; t <= s.cfg.T; t++ {
-		s.g.ForEachVertex(func(v uint32) {
-			if src := s.src[v][t]; src >= 0 {
-				s.recv[src] = append(s.recv[src], Record{Tar: v, Pos: s.pos[v][t], Iter: uint16(t)})
-			}
-		})
-	}
 }
 
 // AppendRecord appends rec to a record row. A full row grows by

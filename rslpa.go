@@ -22,10 +22,10 @@
 //	det.Update([]rslpa.Edit{{Op: rslpa.Insert, U: 7, V: 9}})
 //	res, err = det.Communities()
 //
-// Detection runs sequentially by default; set Config.Workers > 1 to run on
-// the partitioned BSP engine (Config.TCP selects real loopback sockets
-// instead of in-memory exchange). Results are identical bit-for-bit across
-// all execution modes for a given seed.
+// Detection runs in-process on every core by default; set Config.Workers > 1
+// to run on the partitioned BSP engine (Config.TCP selects real loopback
+// sockets instead of in-memory exchange). Results are identical bit-for-bit
+// across all execution modes for a given seed.
 package rslpa
 
 import (
@@ -96,7 +96,7 @@ type Config struct {
 	// Metric selects the edge-weight definition (default Intersection).
 	Metric WeightMetric
 	// Workers > 1 runs detection on a partitioned BSP engine with that
-	// many workers; 0 or 1 runs sequentially.
+	// many workers; 0 or 1 runs it in-process, on every core.
 	Workers int
 	// TCP moves inter-worker traffic over loopback TCP sockets instead
 	// of in-memory queues (only meaningful with Workers > 1).
@@ -151,19 +151,18 @@ type Detector struct {
 // Detect runs rSLPA label propagation (Algorithm 1) on g and returns a
 // Detector from which communities can be extracted. The graph is copied;
 // apply subsequent changes through Update.
+//
+// With Config.Workers <= 1 the detector is in-process and propagation
+// splits each level's vertices across every core (GOMAXPROCS); see
+// DetectParallel to choose the core count. The result is bit-identical at
+// any core count.
 func Detect(g *Graph, cfg Config) (*Detector, error) {
+	if cfg.Workers <= 1 {
+		return DetectParallel(g, cfg, 0)
+	}
 	cfg = cfg.withDefaults()
 	if err := core.CheckT(cfg.T); err != nil {
 		return nil, err // before a distributed engine is started
-	}
-	d := &Detector{cfg: cfg}
-	if cfg.Workers <= 1 {
-		st, err := core.Run(g, core.Config{T: cfg.T, Seed: cfg.Seed})
-		if err != nil {
-			return nil, err
-		}
-		d.seq = st
-		return d, nil
 	}
 	kind := cluster.Local
 	if cfg.TCP {
@@ -182,8 +181,7 @@ func Detect(g *Graph, cfg Config) (*Detector, error) {
 		eng.Close()
 		return nil, err
 	}
-	d.eng, d.dst = eng, dst
-	return d, nil
+	return &Detector{cfg: cfg, eng: eng, dst: dst}, nil
 }
 
 // Update applies a batch of edge edits and incrementally repairs the
