@@ -54,7 +54,7 @@ func TestRingRelay(t *testing.T) {
 			}
 			defer e.Close()
 			var final uint32
-			_, err = e.Run(func(w, round int, inbox []Message, emit Emitter) (bool, error) {
+			_, err = e.RunRounds(func(w, round int, inbox []Message, emit Emitter) (bool, error) {
 				if round == 0 {
 					if w == 0 {
 						emit(1, Message{Kind: 1, A: 1})
@@ -69,7 +69,7 @@ func TestRingRelay(t *testing.T) {
 					emit((w+1)%p, Message{Kind: 1, A: m.A + 1})
 				}
 				return false, nil
-			})
+			}, 4*p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -97,7 +97,7 @@ func TestAllToAll(t *testing.T) {
 			for i := range got {
 				got[i] = make(map[uint64]int)
 			}
-			_, err = e.Run(func(w, round int, inbox []Message, emit Emitter) (bool, error) {
+			_, err = e.RunRounds(func(w, round int, inbox []Message, emit Emitter) (bool, error) {
 				switch round {
 				case 0:
 					for to := 0; to < p; to++ {
@@ -115,7 +115,7 @@ func TestAllToAll(t *testing.T) {
 					}
 					return false, nil
 				}
-			})
+			}, 10)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -152,7 +152,7 @@ func TestLargeFrames(t *testing.T) {
 	}
 	defer e.Close()
 	var received [p]int
-	_, err = e.Run(func(w, round int, inbox []Message, emit Emitter) (bool, error) {
+	_, err = e.RunRounds(func(w, round int, inbox []Message, emit Emitter) (bool, error) {
 		received[w] += len(inbox)
 		if round < 2 {
 			for to := 0; to < p; to++ {
@@ -166,7 +166,7 @@ func TestLargeFrames(t *testing.T) {
 			return false, nil
 		}
 		return false, nil
-	})
+	}, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,12 +206,12 @@ func TestStepErrorPropagates(t *testing.T) {
 	}
 	defer e.Close()
 	boom := errors.New("boom")
-	_, err = e.Run(func(w, round int, inbox []Message, emit Emitter) (bool, error) {
+	_, err = e.RunRounds(func(w, round int, inbox []Message, emit Emitter) (bool, error) {
 		if w == 2 {
 			return false, boom
 		}
 		return false, nil
-	})
+	}, 10)
 	if !errors.Is(err, boom) {
 		t.Fatalf("got %v, want wrapped boom", err)
 	}
@@ -349,7 +349,7 @@ func TestTCPVariablePayloads(t *testing.T) {
 	defer e.Close()
 	var mu sync.Mutex
 	sums := make(map[int]uint64, p)
-	_, err = e.Run(func(w, round int, inbox []Message, emit Emitter) (bool, error) {
+	_, err = e.RunRounds(func(w, round int, inbox []Message, emit Emitter) (bool, error) {
 		var sum uint64
 		for _, m := range inbox {
 			if int(m.A) != w {
@@ -376,7 +376,7 @@ func TestTCPVariablePayloads(t *testing.T) {
 		sums[w] += sum
 		mu.Unlock()
 		return false, nil
-	})
+	}, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,39 +388,6 @@ func TestTCPVariablePayloads(t *testing.T) {
 	for w := 0; w < p; w++ {
 		if sums[w] != want {
 			t.Fatalf("worker %d payload sum %d, want %d", w, sums[w], want)
-		}
-	}
-}
-
-func TestSequentialModeMatchesParallel(t *testing.T) {
-	run := func(seq bool) []uint32 {
-		e, err := New(Config{Workers: 4, Sequential: seq})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer e.Close()
-		sums := make([]uint32, 4)
-		_, err = e.Run(func(w, round int, inbox []Message, emit Emitter) (bool, error) {
-			for _, m := range inbox {
-				sums[w] += m.A
-			}
-			if round < 3 {
-				for to := 0; to < 4; to++ {
-					emit(to, Message{A: uint32(w*10 + round)})
-				}
-				return false, nil
-			}
-			return false, nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sums
-	}
-	a, b := run(true), run(false)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("worker %d: sequential %d != parallel %d", i, a[i], b[i])
 		}
 	}
 }

@@ -12,10 +12,6 @@ type Config struct {
 	Workers int
 	// Transport selects Local (default) or TCP.
 	Transport TransportKind
-	// Sequential forces single-goroutine execution of the compute phase,
-	// useful to make data races impossible in debugging; by default all
-	// workers compute concurrently.
-	Sequential bool
 }
 
 // Stats accumulates the communication costs the paper reasons about.
@@ -40,14 +36,14 @@ type Emitter func(to int, m Message)
 type StepFunc func(worker, round int, inbox []Message, emit Emitter) (active bool, err error)
 
 // RoundStat is the wire traffic one superstep of the most recent
-// Run/RunRounds call moved into its successor round.
+// RunRounds call moved into its successor round.
 type RoundStat struct {
 	Messages int64
 	Bytes    int64
 }
 
 // Engine executes BSP supersteps over P workers. Create with New, run any
-// number of phases with Run or RunRounds, inspect Stats, then Close.
+// number of phases with RunRounds, inspect Stats, then Close.
 type Engine struct {
 	cfg       Config
 	part      Partitioner
@@ -87,39 +83,31 @@ func (e *Engine) Owner(v uint32) int { return e.part.Owner(v) }
 // Stats returns the accumulated communication statistics.
 func (e *Engine) Stats() Stats { return e.stats }
 
-// LastTrace returns the per-round wire stats of the most recent Run or
-// RunRounds call (index = round number). A run's final round always shows
-// zero traffic: its emissions were discarded (fixed-length RunRounds) or
-// absent (quiescent termination). The slice is reused by the next run; copy
-// it to keep it.
+// LastTrace returns the per-round wire stats of the most recent RunRounds
+// call (index = round number). A run's final round always shows zero
+// traffic: its emissions were discarded (the n-th round) or absent
+// (quiescent termination). The slice is reused by the next run; copy it
+// to keep it.
 func (e *Engine) LastTrace() []RoundStat { return e.trace }
 
 // Close releases the transport.
 func (e *Engine) Close() error { return e.transport.Close() }
 
-// Run executes supersteps until no worker is active and no messages are in
-// flight. It returns the number of rounds executed.
-func (e *Engine) Run(step StepFunc) (int, error) {
-	return e.run(step, -1)
-}
-
-// RunRounds executes exactly n supersteps. Messages emitted in the final
-// round are DISCARDED: there is no round n+1 to deliver them into, so they
-// never cross the transport and are not charged to Stats.Messages or
-// Stats.Bytes (Stats meters wire traffic, and a discarded message moves no
-// bytes). Phases whose last round must still be heard should run one round
-// more and leave that extra round's emit unused.
+// RunRounds executes at most n supersteps, stopping early once no worker
+// is active and no messages are in flight; it returns the number of rounds
+// executed. Messages emitted in the n-th round are DISCARDED: there is no
+// round n+1 to deliver them into, so they never cross the transport and
+// are not charged to Stats.Messages or Stats.Bytes (Stats meters wire
+// traffic, and a discarded message moves no bytes). Phases whose last
+// round must still be heard should run one round more and leave that
+// extra round's emit unused.
 func (e *Engine) RunRounds(step StepFunc, n int) (int, error) {
-	return e.run(step, n)
-}
-
-func (e *Engine) run(step StepFunc, maxRounds int) (int, error) {
 	p := e.cfg.Workers
 	inboxes := make([][]Message, p)
 	round := 0
 	e.trace = e.trace[:0]
 	for {
-		if maxRounds >= 0 && round >= maxRounds {
+		if round >= n {
 			return round, nil
 		}
 		out := make([][][]Message, p)
@@ -136,7 +124,7 @@ func (e *Engine) run(step StepFunc, maxRounds int) (int, error) {
 			}
 			active[w], errs[w] = step(w, round, inboxes[w], emit)
 		}
-		if e.cfg.Sequential || p == 1 {
+		if p == 1 {
 			for w := 0; w < p; w++ {
 				compute(w)
 			}
@@ -161,9 +149,9 @@ func (e *Engine) run(step StepFunc, maxRounds int) (int, error) {
 		e.stats.Rounds++
 		round++
 
-		// A final RunRounds round has no successor to deliver into: its
-		// emissions are discarded before the transport and charged nothing.
-		if maxRounds >= 0 && round >= maxRounds {
+		// The n-th round has no successor to deliver into: its emissions
+		// are discarded before the transport and charged nothing.
+		if round >= n {
 			e.trace = append(e.trace, RoundStat{})
 			return round, nil
 		}

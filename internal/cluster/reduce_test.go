@@ -83,9 +83,12 @@ func TestLastTracePerRoundStats(t *testing.T) {
 		}
 		return false, nil
 	}
-	rounds, err := e.Run(step)
+	rounds, err := e.RunRounds(step, 10)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if rounds != 3 {
+		t.Fatalf("rounds = %d, want 3 (quiescent before the bound)", rounds)
 	}
 	trace := e.LastTrace()
 	if len(trace) != rounds {

@@ -11,7 +11,7 @@ import (
 const (
 	reasonHorizon         = "horizon"          // 410 Gone: behind the journal horizon
 	reasonEpochRegression = "epoch_regression" // writer restarted below our replay position
-	reasonDivergence      = "divergence"       // replayed batch landed at the wrong epoch
+	reasonDivergence      = "divergence"       // feed batch is not the canonical batch for the next epoch
 )
 
 // replicaMetrics holds the follower's own instruments. The inner read

@@ -20,7 +20,9 @@
 // restarts, and re-bootstraps if the writer's epoch regressed below the
 // follower's (a crash-restarted writer that lost batches past its last
 // checkpoint — epoch numbers would otherwise be reused for different
-// batches and the replica would silently diverge).
+// batches and the replica would silently diverge), and when the inner
+// service's Apply rejects a feed batch as not the canonical batch for the
+// next epoch (stream.ErrDiverged).
 package replica
 
 import (
@@ -166,11 +168,8 @@ type Follower struct {
 	lastErr error
 }
 
-// seqDetector adapts core.State to stream.Detector for replay. The feed
-// carries the writer's canonical batches; replaying one against the
-// bit-identical follower graph re-canonicalizes to itself, so the inner
-// service's coalescer is a fixed point and every feed batch advances the
-// state by exactly one epoch.
+// seqDetector adapts core.State to stream.Detector for replay: the inner
+// service's Apply runs each feed batch through it, one epoch per batch.
 type seqDetector struct{ st *core.State }
 
 func (d seqDetector) Update(b []graph.Edit) (core.UpdateStats, error) { return d.st.Update(b), nil }
@@ -275,13 +274,7 @@ func (f *Follower) bootstrapOnce() (rs *replayState, retry bool, err error) {
 	if st.Epoch() != epoch {
 		return nil, false, fmt.Errorf("checkpoint epoch %d does not match header %d", st.Epoch(), epoch)
 	}
-	// The inner service never flushes on its own — MaxBatch and
-	// FlushInterval are effectively infinite — so the tail loop's
-	// Submit+Drain per feed batch maps one feed batch to exactly one
-	// epoch, keeping follower epochs aligned with the writer's.
 	svc, err := stream.New(seqDetector{st}, stream.Options{
-		MaxBatch:       1 << 30,
-		FlushInterval:  24 * time.Hour,
 		Extraction:     f.opts.Extraction,
 		BaseEpoch:      st.Epoch(),
 		EvolutionDepth: f.opts.EvolutionDepth,
@@ -417,22 +410,14 @@ func (f *Follower) poll() (behind bool, err error) {
 		f.met.catchupBatches.Observe(float64(len(feed.Batches)))
 	}
 	for _, entry := range feed.Batches {
-		batch, err := entry.GraphEdits()
+		err := rs.svc.Apply(entry)
+		if errors.Is(err, stream.ErrDiverged) {
+			// Not the canonical batch for our next epoch: the replica can
+			// no longer trust its state.
+			return true, f.rebootstrap(reasonDivergence, err.Error())
+		}
 		if err != nil {
 			return false, err
-		}
-		if err := rs.svc.Submit(batch...); err != nil {
-			return false, err
-		}
-		if err := rs.svc.Drain(); err != nil {
-			return false, err
-		}
-		got := rs.svc.Snapshot().Epoch()
-		if got != entry.Epoch {
-			// Replay divergence (a batch coalesced to nothing, or skipped
-			// an epoch): the replica can no longer trust its state.
-			return true, f.rebootstrap(reasonDivergence,
-				fmt.Sprintf("replayed feed batch %d landed at epoch %d", entry.Epoch, got))
 		}
 		f.catchupTotal.Add(1)
 	}

@@ -3,10 +3,12 @@ package replica
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"hash/fnv"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -15,6 +17,7 @@ import (
 	"rslpa/internal/dynamic"
 	"rslpa/internal/graph"
 	"rslpa/internal/lfr"
+	"rslpa/internal/obs"
 	"rslpa/internal/stream"
 )
 
@@ -304,5 +307,96 @@ func TestFollowerRebootstrapsBehindHorizon(t *testing.T) {
 	}
 	if st := f.Stats(); st.Rebootstraps == 0 {
 		t.Fatalf("horizon overrun did not re-bootstrap: %+v", st)
+	}
+}
+
+// TestFollowerRebootstrapsOnDivergence serves the writer's real checkpoint
+// beside a forged feed whose epoch-1 batch holds an insert of an edge the
+// follower already has next to one real insert. Re-coalescing would
+// quietly shrink it to a one-edit batch and publish epoch 1; the follower
+// must instead reject it, re-bootstrap with reason divergence, and never
+// publish epoch 1 from it.
+func TestFollowerRebootstrapsOnDivergence(t *testing.T) {
+	g, st := testFixture(t)
+	maxID := uint32(g.MaxVertexID())
+	w := newWriter(t, st, stream.Options{
+		MaxBatch: 1 << 20, FlushInterval: time.Hour, JournalDepth: 1024,
+	})
+	want := snapshotHash(maxID, w.Snapshot())
+
+	// A present edge u-v and an absent one u-x after it in key order: the
+	// forged batch is sorted, oriented and duplicate-free, so only the
+	// canonical check against the graph can reject it.
+	u := uint32(0)
+	v := g.Neighbors(u)[0]
+	x := v + 1
+	for g.HasEdge(u, x) {
+		x++
+	}
+	forged := fmt.Sprintf(`{"writer_epoch":1,"oldest_epoch":1,"batches":[{"epoch":1,"edits":[`+
+		`{"op":"insert","u":%d,"v":%d},{"op":"insert","u":%d,"v":%d}]}]}`, u, v, u, x)
+
+	inner := w.Handler()
+	var forge atomic.Bool
+	forge.Store(true)
+	front := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		if forge.Load() && r.URL.Path == "/feed" {
+			rw.Header().Set("Content-Type", "application/json")
+			io.WriteString(rw, forged)
+			return
+		}
+		inner.ServeHTTP(rw, r)
+	}))
+	defer front.Close()
+
+	reg := obs.NewRegistry()
+	f, err := New(Options{
+		WriterURL: front.URL, PollInterval: 2 * time.Millisecond,
+		RetryMin: time.Millisecond, RetryMax: 10 * time.Millisecond,
+		Obs: reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		st := f.Stats()
+		if st.FollowerEpoch != 0 {
+			t.Fatalf("follower published epoch %d from the forged batch: %+v", st.FollowerEpoch, st)
+		}
+		if st.Rebootstraps > 0 && strings.Contains(st.ReplicationError, stream.ErrDiverged.Error()) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("forged batch never triggered a divergence re-bootstrap: %+v", st)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if got := snapshotHash(maxID, f.Snapshot()); got != want {
+		t.Fatalf("follower state moved: %x vs writer %x", got, want)
+	}
+	fsrv := httptest.NewServer(f.Handler())
+	defer fsrv.Close()
+	resp, err := http.Get(fsrv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fams, err := obs.ParseExposition(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := fams["rslpa_replica_rebootstraps_total"].Samples[`rslpa_replica_rebootstraps_total{reason="divergence"}`]; v < 1 {
+		t.Errorf("rebootstraps_total{reason=divergence} = %g, want >= 1", v)
+	}
+
+	// With the real feed back, the follower replays the writer's batch.
+	forge.Store(false)
+	applyStream(t, w, [][]graph.Edit{{{Op: graph.Insert, U: u, V: x}}})
+	waitFollowerEpoch(t, f, 1)
+	if got, want := snapshotHash(maxID, f.Snapshot()), snapshotHash(maxID, w.Snapshot()); got != want {
+		t.Fatalf("follower diverged after recovery: %x vs %x", got, want)
 	}
 }

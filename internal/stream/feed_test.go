@@ -2,6 +2,7 @@ package stream
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -235,17 +236,17 @@ func TestCheckpointStormEncodesOncePerEpoch(t *testing.T) {
 	var mu sync.Mutex
 	served := map[uint64][]byte{}
 	stop := make(chan struct{})
-	var wg sync.WaitGroup
+	// started is the start barrier: every requester completes one GET
+	// before the batches begin, so a fast run cannot finish unobserved.
+	var wg, started sync.WaitGroup
+	started.Add(requesters)
 	for range requesters {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			ready := sync.OnceFunc(started.Done)
+			defer ready() // an early error return must not hang the barrier
 			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
 				resp, err := http.Get(srv.URL + "/checkpoint")
 				if err != nil {
 					t.Error(err)
@@ -268,9 +269,16 @@ func TestCheckpointStormEncodesOncePerEpoch(t *testing.T) {
 				}
 				served[epoch] = body
 				mu.Unlock()
+				ready()
+				select {
+				case <-stop:
+					return
+				default:
+				}
 			}
 		}()
 	}
+	started.Wait()
 	applyBatches(t, s, 20, 10)
 	close(stop)
 	wg.Wait()
@@ -530,5 +538,70 @@ func TestReadyzReflectsCheckpointHealth(t *testing.T) {
 	}
 	if _, ok := h2["checkpoint_error"]; ok {
 		t.Fatalf("stale checkpoint_error after recovery: %v", h2)
+	}
+}
+
+// feedEntry is the wire form of a batch claimed to produce epoch.
+func feedEntry(epoch uint64, edits ...graph.Edit) FeedEntry {
+	e := FeedEntry{Epoch: epoch, Edits: make([]editJSON, len(edits))}
+	for i, ed := range edits {
+		e.Edits[i] = wireEdit(ed)
+	}
+	return e
+}
+
+// Apply rejects every entry that is not the canonical batch for the next
+// epoch with ErrDiverged, and a rejection changes nothing: not the epoch,
+// the graph, the counters or the journal, and the next valid entry
+// applies, so nothing latched.
+func TestApplyRejectsDivergedBatch(t *testing.T) {
+	s, _, _ := newFeedService(t, Options{FlushInterval: time.Hour, JournalDepth: 64})
+	h := s.Handler()
+	ins := func(u, v uint32) graph.Edit { return graph.Edit{Op: graph.Insert, U: u, V: v} }
+	del := func(u, v uint32) graph.Edit { return graph.Edit{Op: graph.Delete, U: u, V: v} }
+	// testGraph has 0-1 and 2-3; 0-5, 1-5 and 0-4 are absent throughout.
+	cases := []struct {
+		name  string
+		entry func(head uint64) FeedEntry
+	}{
+		{"epoch gap", func(h uint64) FeedEntry { return feedEntry(h+2, ins(0, 5)) }},
+		{"epoch repeat", func(h uint64) FeedEntry { return feedEntry(h, ins(0, 5)) }},
+		{"empty batch", func(h uint64) FeedEntry { return feedEntry(h + 1) }},
+		{"unsorted keys", func(h uint64) FeedEntry { return feedEntry(h+1, ins(1, 5), ins(0, 5)) }},
+		{"U > V", func(h uint64) FeedEntry { return feedEntry(h+1, ins(5, 0)) }},
+		{"duplicate edge", func(h uint64) FeedEntry { return feedEntry(h+1, ins(0, 5), ins(0, 5)) }},
+		{"insert of a present edge", func(h uint64) FeedEntry { return feedEntry(h+1, ins(0, 1), ins(0, 5)) }},
+		{"delete of an absent edge", func(h uint64) FeedEntry { return feedEntry(h+1, del(0, 4), del(2, 3)) }},
+	}
+	// Stats minus the fields a read moves (Snapshot counts queries).
+	stats := func() Stats {
+		st := s.Stats()
+		st.Queries, st.UptimeSeconds = 0, 0
+		return st
+	}
+	for i, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sn := s.Snapshot()
+			head, edges, st := sn.Epoch(), sn.NumEdges(), stats()
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest("GET", "/feed?from=0", nil))
+			err := s.Apply(tc.entry(head))
+			if !errors.Is(err, ErrDiverged) {
+				t.Fatalf("Apply = %v, want ErrDiverged", err)
+			}
+			if sn := s.Snapshot(); sn.Epoch() != head || sn.NumEdges() != edges {
+				t.Fatalf("rejected entry moved the head: epoch %d→%d, edges %d→%d", head, sn.Epoch(), edges, sn.NumEdges())
+			}
+			if got := stats(); got != st {
+				t.Fatalf("rejected entry moved the stats:\nbefore %+v\nafter  %+v", st, got)
+			}
+			requireBody(t, h, "/feed?from=0", rec.Body.Bytes())
+			if err := s.Apply(feedEntry(head+1, ins(0, 100+uint32(i)))); err != nil {
+				t.Fatalf("valid Apply after a rejection: %v", err)
+			}
+			if got := s.Snapshot().Epoch(); got != head+1 {
+				t.Fatalf("valid Apply published epoch %d, want %d", got, head+1)
+			}
+		})
 	}
 }

@@ -59,12 +59,12 @@
 // produced), and the HTTP handler serves them as GET /feed?from=<epoch>
 // beside GET /checkpoint, a detector checkpoint encoded at the head on
 // request. A read-only follower (internal/replica) bootstraps from the
-// checkpoint and tails the feed, replaying the writer's exact canonical
-// batches through its own detector — determinism makes the follower's
-// snapshot at epoch E bit-identical to the writer's, so GET /communities
-// and /vertex/{v} scale horizontally across replicas while the single
-// writer ingests. A follower that falls behind the bounded journal
-// horizon gets 410 Gone and re-bootstraps from a fresh checkpoint.
+// checkpoint and tails the feed, handing each of the writer's canonical
+// batches to its own service's Apply, which never re-coalesces (a batch
+// that is not canonical for the next epoch fails with ErrDiverged), so
+// determinism makes the follower's snapshot at epoch E bit-identical to
+// the writer's. A follower that falls behind the bounded journal horizon
+// gets 410 Gone and re-bootstraps from a fresh checkpoint.
 package stream
 
 import (
@@ -75,6 +75,7 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -213,7 +214,7 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// ErrClosed is returned by Submit, Drain, and the HTTP handler after the
+// ErrClosed is returned by Submit, Drain, Apply and the HTTP handler after the
 // service has been closed.
 var ErrClosed = errors.New("stream: service is closed")
 
@@ -537,6 +538,36 @@ func (s *Service) Drain() error {
 	return err
 }
 
+// ErrDiverged wraps every Apply rejection: the entry is not the canonical
+// batch for the service's next epoch.
+var ErrDiverged = errors.New("stream: replay diverged")
+
+// Apply applies one journaled batch at its stated epoch through flush's
+// apply, on the maintenance goroutine. An entry not for epoch head+1,
+// empty, or not canonical against the graph fails with ErrDiverged and
+// changes nothing. A replaying service takes no Submit.
+func (s *Service) Apply(entry FeedEntry) error {
+	batch, err := entry.GraphEdits()
+	if err != nil {
+		return err
+	}
+	if !s.between(func() {
+		head := s.snap.Load().Epoch()
+		switch err = s.failureErr(); {
+		case err != nil: // latched, as Drain reports
+		case entry.Epoch != head+1:
+			err = fmt.Errorf("%w: feed batch %d at epoch %d", ErrDiverged, entry.Epoch, head)
+		case len(batch) == 0 || !slices.Equal(graph.Canonicalize(s.det.Graph(), batch), batch):
+			err = fmt.Errorf("%w: feed batch %d is not a canonical batch against epoch %d", ErrDiverged, entry.Epoch, head)
+		default:
+			err = s.apply(batch, 0, 0)
+		}
+	}) {
+		return s.drainErr()
+	}
+	return err
+}
+
 // between hands fn to the maintenance goroutine, which runs it between
 // batches, and returns once fn has returned. It reports false without
 // running fn when the maintenance goroutine has exited (Close).
@@ -733,10 +764,10 @@ func (s *Service) drainQueue() error {
 	}
 }
 
-// flush applies the pending canonical batch (if any) through the detector,
-// builds the next snapshot, and publishes it. After a detector failure the
-// service latches: the stale-but-consistent snapshot keeps serving, and
-// further flushes are dropped.
+// flush takes the coalescer's pending canonical batch and applies it (if
+// any). After a detector failure the service latches: the
+// stale-but-consistent snapshot keeps serving, and further flushes are
+// dropped.
 func (s *Service) flush() error {
 	if err := s.failureErr(); err != nil {
 		s.co.Flush() // discard: a latched detector will never apply them
@@ -754,6 +785,12 @@ func (s *Service) flush() error {
 	if len(batch) == 0 {
 		return nil
 	}
+	return s.apply(batch, pendWait, coalesceDur)
+}
+
+// apply runs one canonical batch through the detector and publishes the
+// next snapshot; pendWait and coalesceDur are zero for a replayed batch.
+func (s *Service) apply(batch []graph.Edit, pendWait, coalesceDur time.Duration) error {
 	flushStart := time.Now()
 	t0 := flushStart
 	stats, err := s.det.Update(batch)
@@ -856,7 +893,7 @@ func (s *Service) flush() error {
 	var journalDur time.Duration
 	if s.opts.JournalDepth > 0 {
 		j0 := time.Now()
-		// The coalescer's Flush returned a fresh canonical slice, so the
+		// The batch is a fresh slice (the coalescer's or Apply's), so the
 		// journal can retain it without copying. Trim to the horizon. The
 		// bootstrap checkpoint is served at the head only, so its bytes go
 		// now; a response in flight keeps its own slice.
