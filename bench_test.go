@@ -563,8 +563,11 @@ func setupFixture(b *testing.B) {
 // BenchmarkSetup is the fixed work a service does before its first batch
 // on LFR 20 000 / T 200: propagation on one core and on every core
 // (rslpa.Detect runs the latter), and a follower's restore, which decodes
-// an in-memory checkpoint and builds the State from it. The CI
-// bench-smoke job archives these rows as BENCH_setup.json.
+// an in-memory checkpoint and builds the State from it. The dist-tcp rows
+// are the same two on 2 BSP workers over loopback TCP: Detect and
+// LoadDetector, each of which builds the State in-process and hands its
+// rows to the workers. The CI bench-smoke job archives these rows as
+// BENCH_setup.json.
 func BenchmarkSetup(b *testing.B) {
 	setupFixture(b)
 	cfg := rslpa.Config{T: 200, Seed: 1}
@@ -595,4 +598,26 @@ func BenchmarkSetup(b *testing.B) {
 		}
 		b.ReportMetric(float64(b.Elapsed())/1e6/float64(b.N), "ms/op")
 	})
+	distCfg := rslpa.Config{T: 200, Seed: 1, Workers: 2, TCP: true}
+	for _, row := range []struct {
+		name  string
+		build func() (*rslpa.Detector, error)
+	}{
+		{"detect/dist-tcp", func() (*rslpa.Detector, error) { return rslpa.Detect(setupGraph, distCfg) }},
+		{"restore/dist-tcp", func() (*rslpa.Detector, error) {
+			return rslpa.LoadDetector(bytes.NewReader(setupCkpt), distCfg)
+		}},
+	} {
+		b.Run(row.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				det, err := row.build()
+				if err != nil {
+					b.Fatal(err)
+				}
+				det.Close()
+			}
+			b.ReportMetric(float64(b.Elapsed())/1e6/float64(b.N), "ms/op")
+		})
+	}
 }

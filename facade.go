@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"io"
 
-	"rslpa/internal/cluster"
 	"rslpa/internal/core"
-	"rslpa/internal/dist"
 	"rslpa/internal/graph"
 	"rslpa/internal/nmi"
 )
@@ -39,7 +37,7 @@ func DetectParallel(g *Graph, cfg Config, cores int) (*Detector, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Detector{cfg: cfg, seq: st}, nil
+	return newDetector(st, cfg)
 }
 
 // Save checkpoints the detector's full state (graph, label matrix, pick
@@ -71,27 +69,11 @@ func LoadDetector(r io.Reader, cfg Config) (*Detector, error) {
 	}
 	cfg.T = c.T
 	cfg.Seed = c.Seed
-	if cfg.Workers <= 1 {
-		st, err := c.BuildState()
-		if err != nil {
-			return nil, err
-		}
-		return &Detector{cfg: cfg, seq: st}, nil
-	}
-	kind := cluster.Local
-	if cfg.TCP {
-		kind = cluster.TCP
-	}
-	eng, err := cluster.New(cluster.Config{Workers: cfg.Workers, Transport: kind})
+	st, err := c.BuildState()
 	if err != nil {
 		return nil, err
 	}
-	dst, err := dist.NewRSLPAFromCheckpoint(eng, c)
-	if err != nil {
-		eng.Close()
-		return nil, err
-	}
-	return &Detector{cfg: cfg, eng: eng, dst: dst}, nil
+	return newDetector(st, cfg)
 }
 
 // Omega computes the Omega index between two covers — the overlapping

@@ -78,8 +78,8 @@ type Checkpoint struct {
 	Shards [][]VertexRecord
 }
 
-// Records iterates all vertex records across shards in stored order.
-func (c *Checkpoint) Records(fn func(rec *VertexRecord)) {
+// records iterates all vertex records across shards in stored order.
+func (c *Checkpoint) records(fn func(rec *VertexRecord)) {
 	for _, sh := range c.Shards {
 		for i := range sh {
 			fn(&sh[i])
@@ -244,14 +244,14 @@ func (s *State) SaveCheckpoint(w io.Writer) error {
 // ReadCheckpoint decodes a checkpoint stream in either format version:
 // "RSLPA2\n" sharded containers or legacy "RSLPA1\n" single-blob streams
 // (parsed as one shard). It performs framing and digest validation only;
-// call Verify / BuildState / BuildGraph to cross-check the records and
+// call Verify / BuildState to cross-check the records and
 // materialize state. Any other magic is rejected with a version error.
 //
 // The decoder is hardened against corrupt input: every claimed count is
 // either bounds-checked against a sanity cap or read incrementally, so
 // allocation stays proportional to the bytes actually consumed — corrupt
 // streams fail with an error, never a panic or an OOM. That guarantee
-// covers decoding only: Verify, BuildGraph and BuildState size their
+// covers decoding only: Verify and BuildState size their
 // arrays by the largest vertex ID present, which a valid checkpoint of a
 // few bytes can put near 2³².
 func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
@@ -530,13 +530,13 @@ func (c *countingReader) Read(p []byte) (int, error) {
 // neighbor — or the vertex itself when isolated — with a position in [0, t)
 // and a consistent copied label value. A checkpoint that passes Verify
 // therefore builds a State that passes Validate. Adjacency symmetry is
-// checked by BuildGraph.
+// checked by buildGraph.
 func (c *Checkpoint) Verify() error {
 	// recOf indexes the records by vertex ID, sized by the largest ID
-	// present (as BuildGraph's adjacency is), never by the header's ID
+	// present (as buildGraph's adjacency is), never by the header's ID
 	// space.
 	maxID := -1
-	c.Records(func(rec *VertexRecord) { maxID = max(maxID, int(rec.V)) })
+	c.records(func(rec *VertexRecord) { maxID = max(maxID, int(rec.V)) })
 	recOf := make([]*VertexRecord, maxID+1)
 	record := func(u uint32) *VertexRecord {
 		if int(u) < len(recOf) {
@@ -546,7 +546,7 @@ func (c *Checkpoint) Verify() error {
 	}
 	dup := false
 	var dupV uint32
-	c.Records(func(rec *VertexRecord) {
+	c.records(func(rec *VertexRecord) {
 		if recOf[rec.V] != nil {
 			dup, dupV = true, rec.V
 		}
@@ -570,7 +570,7 @@ func (c *Checkpoint) Verify() error {
 	mark := make([]uint32, len(recOf))
 	var gen uint32
 	var failure error
-	c.Records(func(rec *VertexRecord) {
+	c.records(func(rec *VertexRecord) {
 		if failure != nil {
 			return
 		}
@@ -633,12 +633,12 @@ func (c *Checkpoint) Verify() error {
 	return failure
 }
 
-// BuildGraph materializes the checkpoint's graph with every neighbor list in
+// buildGraph materializes the checkpoint's graph with every neighbor list in
 // its exact saved order (see graph.RestoreAdjacency for why order matters).
-func (c *Checkpoint) BuildGraph() (*graph.Graph, error) {
+func (c *Checkpoint) buildGraph() (*graph.Graph, error) {
 	maxID := -1
 	count := 0
-	c.Records(func(rec *VertexRecord) {
+	c.records(func(rec *VertexRecord) {
 		count++
 		if int(rec.V) > maxID {
 			maxID = int(rec.V)
@@ -646,7 +646,7 @@ func (c *Checkpoint) BuildGraph() (*graph.Graph, error) {
 	})
 	present := make([]uint32, 0, count)
 	adj := make([][]uint32, maxID+1)
-	c.Records(func(rec *VertexRecord) {
+	c.records(func(rec *VertexRecord) {
 		present = append(present, rec.V)
 		adj[rec.V] = rec.Nbrs
 	})
@@ -666,13 +666,13 @@ func (c *Checkpoint) BuildState() (*State, error) {
 	if err := c.Verify(); err != nil {
 		return nil, err
 	}
-	g, err := c.BuildGraph()
+	g, err := c.buildGraph()
 	if err != nil {
 		return nil, err
 	}
 	s := newState(g, Config{T: c.T, Seed: c.Seed})
 	s.epoch = c.Epoch
-	c.Records(func(rec *VertexRecord) {
+	c.records(func(rec *VertexRecord) {
 		v := rec.V
 		copy(s.labels[v][1:], rec.Labels)
 		copy(s.src[v][1:], rec.Src)

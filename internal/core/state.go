@@ -315,6 +315,26 @@ func (s *State) Records(v uint32) []Record {
 	return s.recv[v]
 }
 
+// Tables is a State's graph and per-vertex tables as HandOff gives them
+// away, indexed by vertex ID with the State's conventions.
+type Tables struct {
+	Graph  *graph.Graph
+	Labels [][]uint32
+	Src    [][]int32
+	Pos    [][]uint16
+	Recv   [][]Record
+}
+
+// HandOff gives the State's graph and tables to the caller without copying
+// them and empties the State, so nothing can write a row the caller now
+// owns. Only T, Seed and Epoch stay usable.
+func (s *State) HandOff() Tables {
+	t := Tables{Graph: s.g, Labels: s.labels, Src: s.src, Pos: s.pos, Recv: s.recv}
+	s.g, s.labels, s.src, s.pos, s.recv = nil, nil, nil, nil, nil
+	s.rows, s.arena = RowStamps{}, updArena{}
+	return t
+}
+
 // Clone returns a deep copy of the State, useful for comparing incremental
 // updates against from-scratch recomputation in tests.
 func (s *State) Clone() *State {

@@ -7,11 +7,12 @@
 // phase, and the master writes the sharded container of core's checkpoint
 // format. Nothing is re-encoded centrally — the master only concatenates.
 //
-// Loading is the inverse with resharding: NewRSLPAFromCheckpoint replays
-// every vertex record through the LOADING engine's Owner map, so a
-// checkpoint saved at P=4 restores onto P=2 (or P=7, or a sequential
-// detector via core's BuildState) with bit-identical state. Reverse records
-// are rebuilt at whichever worker owns each pick's source, exactly where
+// Loading is the inverse with resharding: NewRSLPAFromCheckpoint builds the
+// sequential State from the records (core's BuildState, which also rebuilds
+// the reverse records) and hands each vertex's rows to its owner under the
+// LOADING engine's Owner map, so a checkpoint saved at P=4 restores onto
+// P=2 (or P=7, or a sequential detector) with bit-identical state. Reverse
+// records land at whichever worker owns each pick's source, exactly where
 // live propagation would have installed them.
 package dist
 
@@ -72,73 +73,17 @@ func (d *RSLPA) shardRecords(worker int) []core.VertexRecord {
 }
 
 // NewRSLPAFromCheckpoint restores a distributed driver from a decoded
-// checkpoint, re-partitioning every vertex record through eng.Owner — the
-// checkpoint's own shard count is irrelevant, which is what makes
-// checkpoints portable across worker counts and transports. The returned
-// driver has already propagated (epoch and label state come from the
-// checkpoint) and accepts Update / postprocessing immediately.
+// checkpoint: core's BuildState, then NewRSLPAFromState. The checkpoint's
+// own shard count is irrelevant, which makes checkpoints portable across
+// worker counts and transports. The driver accepts Update / postprocessing
+// immediately.
 func NewRSLPAFromCheckpoint(eng *cluster.Engine, c *core.Checkpoint) (*RSLPA, error) {
 	if eng == nil {
 		return nil, fmt.Errorf("dist: nil engine")
 	}
-	if err := c.Verify(); err != nil {
-		return nil, err
-	}
-	g, err := c.BuildGraph()
+	st, err := c.BuildState()
 	if err != nil {
 		return nil, err
 	}
-	d := &RSLPA{
-		eng:   eng,
-		cfg:   core.Config{T: c.T, Seed: c.Seed},
-		g:     g,
-		epoch: c.Epoch,
-		run:   true,
-	}
-	d.shards = make([]*shard, eng.Workers())
-	for w := range d.shards {
-		d.shards[w] = &shard{}
-	}
-	T := c.T
-	count := make([]int32, g.MaxVertexID())
-	c.Records(func(rec *core.VertexRecord) {
-		sh := d.shards[eng.Owner(rec.V)]
-		sh.addVertex(rec.V, T)
-		sh.adj[rec.V] = append([]uint32(nil), rec.Nbrs...)
-		copy(sh.labels[rec.V][1:], rec.Labels)
-		copy(sh.src[rec.V][1:], rec.Src)
-		copy(sh.pos[rec.V][1:], rec.Pos)
-		for _, sv := range rec.Src {
-			if sv >= 0 {
-				count[sv]++
-			}
-		}
-	})
-	// Rebuild the reverse records at the owner of each pick's source — the
-	// placement live propagation uses (records live where the source lives)
-	// — in rows sized exactly by the count above.
-	for sv, n := range count {
-		if n > 0 {
-			sh := d.shards[eng.Owner(uint32(sv))]
-			sh.growTo(uint32(sv))
-			sh.recv[sv] = make([]core.Record, 0, n)
-		}
-	}
-	c.Records(func(rec *core.VertexRecord) {
-		for i, sv := range rec.Src {
-			if sv < 0 {
-				continue
-			}
-			sh := d.shards[eng.Owner(uint32(sv))]
-			sh.recv[sv] = append(sh.recv[sv], core.Record{
-				Tar: rec.V, Pos: rec.Pos[i], Iter: uint16(i + 1),
-			})
-		}
-	})
-	// Keep per-round iteration order deterministic and independent of the
-	// checkpoint's shard grouping.
-	for _, sh := range d.shards {
-		sort.Slice(sh.owned, func(i, j int) bool { return sh.owned[i] < sh.owned[j] })
-	}
-	return d, nil
+	return NewRSLPAFromState(eng, st), nil
 }

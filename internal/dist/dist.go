@@ -46,6 +46,13 @@
 //     finalized — exactly the invariant the sequential Update exploits,
 //     preserved under skipping.
 //
+// # Hand-off
+//
+// Propagate is Algorithm 1 on BSP, which cmd/repro and examples/distributed
+// measure. The facade's Detect and LoadDetector build a core.State
+// in-process instead (picks do not depend on the partition) and hand each
+// worker its vertices' rows with NewRSLPAFromState.
+//
 // Because every random decision is a pure function of
 // (seed, epoch, vertex, iteration) and the per-worker adjacency shards
 // replay the identical mutation order as the sequential graph, the label
@@ -120,22 +127,22 @@ type shard struct {
 	owned  []uint32       // owned present vertices, the per-round iteration order
 }
 
-// growTo extends the per-vertex arrays to cover vertex ID v.
-func (sh *shard) growTo(v uint32) {
-	for int(v) >= len(sh.exists) {
-		sh.exists = append(sh.exists, false)
-		sh.adj = append(sh.adj, nil)
-		sh.labels = append(sh.labels, nil)
-		sh.src = append(sh.src, nil)
-		sh.pos = append(sh.pos, nil)
-		sh.recv = append(sh.recv, nil)
+// grow extends the per-vertex arrays to cover vertex IDs below n.
+func (sh *shard) grow(n int) {
+	if k := n - len(sh.exists); k > 0 {
+		sh.exists = append(sh.exists, make([]bool, k)...)
+		sh.adj = append(sh.adj, make([][]uint32, k)...)
+		sh.labels = append(sh.labels, make([][]uint32, k)...)
+		sh.src = append(sh.src, make([][]int32, k)...)
+		sh.pos = append(sh.pos, make([][]uint16, k)...)
+		sh.recv = append(sh.recv, make([][]core.Record, k)...)
 	}
 }
 
 // addVertex makes v present, allocating its label slots with the initial
 // label l⁰_v = v and sentinel picks, mirroring core.State.initVertex.
 func (sh *shard) addVertex(v uint32, T int) {
-	sh.growTo(v)
+	sh.grow(int(v) + 1)
 	if sh.exists[v] {
 		return
 	}

@@ -11,7 +11,8 @@ import (
 
 // RSLPA is the distributed rSLPA driver: Algorithm 1 as BSP supersteps over
 // the engine's partitions, plus Algorithm 2 for incremental repair. Create
-// with NewRSLPA, call Propagate once, then any number of Update batches.
+// with NewRSLPA and call Propagate once, or hand over a propagated State
+// with NewRSLPAFromState; then run any number of Update batches.
 // The label matrix is bit-identical to core.Run / core.State.Update on the
 // same graph, seed and batches, for any worker count and transport.
 type RSLPA struct {
@@ -69,6 +70,35 @@ func NewRSLPA(eng *cluster.Engine, g *graph.Graph, cfg core.Config) (*RSLPA, err
 		sh.adj[v] = append([]uint32(nil), d.g.Neighbors(v)...)
 	})
 	return d, nil
+}
+
+// NewRSLPAFromState returns a driver on eng that holds st's state: each
+// owner receives its vertices' label, src and pos rows and the record rows
+// stored at them as they are, without copying, and its own copy of their
+// adjacency lists. st's graph becomes the master graph, and st is consumed
+// (see core.State.HandOff). The driver has propagated already — no
+// superstep runs, so PropagateStats stays zero — and evolves exactly as
+// NewRSLPA + Propagate on the same graph: picks are pure functions of
+// (seed, vertex, iteration), whoever draws them.
+func NewRSLPAFromState(eng *cluster.Engine, st *core.State) *RSLPA {
+	d := &RSLPA{eng: eng, cfg: core.Config{T: st.T(), Seed: st.Seed()}, epoch: st.Epoch(), run: true}
+	tab := st.HandOff()
+	d.g = tab.Graph
+	d.shards = make([]*shard, eng.Workers())
+	for w := range d.shards {
+		d.shards[w] = &shard{}
+		d.shards[w].grow(d.g.MaxVertexID())
+	}
+	d.g.ForEachVertex(func(v uint32) {
+		sh := d.shards[eng.Owner(v)]
+		sh.exists[v] = true
+		sh.owned = append(sh.owned, v)
+		// Shards and the master graph both mutate adjacency under Update.
+		sh.adj[v] = append([]uint32(nil), d.g.Neighbors(v)...)
+		sh.labels[v], sh.src[v], sh.pos[v] = tab.Labels[v], tab.Src[v], tab.Pos[v]
+		sh.recv[v] = tab.Recv[v] // records live at the source: v's owner
+	})
+	return d
 }
 
 // Labels returns vertex v's label sequence (length T+1, cap == len), or
@@ -453,10 +483,10 @@ func (d *RSLPA) applyBatch(sh *shard, sc *updScratch, w int, batch []graph.Edit,
 			// The changed verdict from whichever endpoint is local.
 			var changed bool
 			if ownsU {
-				sh.growTo(e.U)
+				sh.grow(int(e.U) + 1)
 				changed = !sh.hasNbr(e.U, e.V)
 			} else {
-				sh.growTo(e.V)
+				sh.grow(int(e.V) + 1)
 				changed = !sh.hasNbr(e.V, e.U)
 			}
 			if !changed {

@@ -55,7 +55,8 @@ type Options struct {
 	// up. Default 50ms.
 	PollInterval time.Duration
 	// RetryMin/RetryMax bound the exponential backoff after a failed feed
-	// or bootstrap request. Defaults 100ms and 5s.
+	// or bootstrap request, or a re-bootstrap. After a re-bootstrap only an
+	// applied feed entry resets it. Defaults 100ms and 5s.
 	RetryMin, RetryMax time.Duration
 	// FeedMax is the number of batches requested per feed poll.
 	// Default 64.
@@ -342,21 +343,32 @@ func (f *Follower) loop() {
 		}
 	}()
 	backoff := f.opts.RetryMin
+	// rebooted: a poll re-bootstrapped and no entry has applied since. A
+	// clean poll (the writer had nothing new) does not reset the backoff.
+	rebooted := false
 	for {
+		applied, reboots := f.catchupTotal.Load(), f.rebootstraps.Load()
 		behind, err := f.poll()
+		if f.catchupTotal.Load() != applied {
+			backoff, rebooted = f.opts.RetryMin, false
+		}
+		if f.rebootstraps.Load() != reboots {
+			rebooted = true
+		}
 		wait := f.opts.PollInterval
 		switch {
 		case err != nil:
 			f.setErr(err)
 			wait, backoff = backoff, min(backoff*2, f.opts.RetryMax)
-		case behind:
-			// More batches are probably waiting: poll again immediately.
-			f.setErr(nil)
-			backoff = f.opts.RetryMin
-			wait = 0
 		default:
 			f.setErr(nil)
-			backoff = f.opts.RetryMin
+			if !rebooted {
+				backoff = f.opts.RetryMin
+			}
+			if behind {
+				// More batches are probably waiting: poll again immediately.
+				wait = 0
+			}
 		}
 		select {
 		case <-f.quit:

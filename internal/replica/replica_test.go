@@ -315,7 +315,11 @@ func TestFollowerRebootstrapsBehindHorizon(t *testing.T) {
 // follower already has next to one real insert. Re-coalescing would
 // quietly shrink it to a one-edit batch and publish epoch 1; the follower
 // must instead reject it, re-bootstrap with reason divergence, and never
-// publish epoch 1 from it.
+// publish epoch 1 from it. The forged feed answers every other poll with an
+// empty page, as a writer idle between batches would: those clean polls
+// must not reset the backoff, so the re-bootstraps stay bounded by
+// RetryMax (about 10 in the first second at RetryMax 100 ms, not one per
+// few milliseconds).
 func TestFollowerRebootstrapsOnDivergence(t *testing.T) {
 	g, st := testFixture(t)
 	maxID := uint32(g.MaxVertexID())
@@ -336,13 +340,20 @@ func TestFollowerRebootstrapsOnDivergence(t *testing.T) {
 	forged := fmt.Sprintf(`{"writer_epoch":1,"oldest_epoch":1,"batches":[{"epoch":1,"edits":[`+
 		`{"op":"insert","u":%d,"v":%d},{"op":"insert","u":%d,"v":%d}]}]}`, u, v, u, x)
 
+	const idle = `{"writer_epoch":0,"oldest_epoch":1,"batches":[]}`
+
 	inner := w.Handler()
 	var forge atomic.Bool
+	var feedPolls atomic.Int64
 	forge.Store(true)
 	front := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
 		if forge.Load() && r.URL.Path == "/feed" {
 			rw.Header().Set("Content-Type", "application/json")
-			io.WriteString(rw, forged)
+			if feedPolls.Add(1)%2 == 0 {
+				io.WriteString(rw, idle)
+			} else {
+				io.WriteString(rw, forged)
+			}
 			return
 		}
 		inner.ServeHTTP(rw, r)
@@ -350,9 +361,10 @@ func TestFollowerRebootstrapsOnDivergence(t *testing.T) {
 	defer front.Close()
 
 	reg := obs.NewRegistry()
+	start := time.Now()
 	f, err := New(Options{
 		WriterURL: front.URL, PollInterval: 2 * time.Millisecond,
-		RetryMin: time.Millisecond, RetryMax: 10 * time.Millisecond,
+		RetryMin: time.Millisecond, RetryMax: 100 * time.Millisecond,
 		Obs: reg,
 	})
 	if err != nil {
@@ -376,6 +388,12 @@ func TestFollowerRebootstrapsOnDivergence(t *testing.T) {
 	}
 	if got := snapshotHash(maxID, f.Snapshot()); got != want {
 		t.Fatalf("follower state moved: %x vs writer %x", got, want)
+	}
+	time.Sleep(time.Until(start.Add(time.Second)))
+	n := f.Stats().Rebootstraps
+	t.Logf("%d divergence re-bootstraps in the first second", n)
+	if n > 20 {
+		t.Fatalf("%d divergence re-bootstraps in the first second at RetryMax 100ms, want <= 20", n)
 	}
 	fsrv := httptest.NewServer(f.Handler())
 	defer fsrv.Close()

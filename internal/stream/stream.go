@@ -428,7 +428,7 @@ func New(det Detector, opts Options) (*Service, error) {
 		if r, m, by, on := p.EngineStats(); on {
 			s.engine = p
 			// Baseline for per-batch deltas; the cumulative totals in
-			// Stats still include the initial propagation.
+			// Stats still include what the engine sent before New.
 			s.prevEng = [3]int64{r, m, by}
 		}
 	}
@@ -457,8 +457,8 @@ func New(det Detector, opts Options) (*Service, error) {
 	}
 	s.journalEpoch = opts.BaseEpoch
 	if s.engine != nil {
-		// Seed the cumulative engine counters so /stats shows the initial
-		// propagation's traffic before the first batch lands.
+		// Seed the cumulative engine counters so /stats shows the engine's
+		// traffic before the first batch lands.
 		s.st.EngineRounds = s.prevEng[0]
 		s.st.EngineMessages = s.prevEng[1]
 		s.st.EngineBytes = s.prevEng[2]

@@ -22,10 +22,11 @@
 //	det.Update([]rslpa.Edit{{Op: rslpa.Insert, U: 7, V: 9}})
 //	res, err = det.Communities()
 //
-// Detection runs in-process on every core by default; set Config.Workers > 1
-// to run on the partitioned BSP engine (Config.TCP selects real loopback
-// sockets instead of in-memory exchange). Results are identical bit-for-bit
-// across all execution modes for a given seed.
+// Detection runs in-process on every core; set Config.Workers > 1 to keep
+// the detector on the partitioned BSP engine, which maintains it under
+// Update (Config.TCP selects real loopback sockets instead of in-memory
+// exchange). Results are identical bit-for-bit across all execution modes
+// for a given seed.
 package rslpa
 
 import (
@@ -95,8 +96,10 @@ type Config struct {
 	Tau1, Tau2 float64
 	// Metric selects the edge-weight definition (default Intersection).
 	Metric WeightMetric
-	// Workers > 1 runs detection on a partitioned BSP engine with that
-	// many workers; 0 or 1 runs it in-process, on every core.
+	// Workers > 1 keeps the detector on a partitioned BSP engine with that
+	// many workers: the initial propagation still runs in-process, on
+	// every core, and the workers receive its rows and maintain them under
+	// Update and extraction. 0 or 1 keeps everything in-process.
 	Workers int
 	// TCP moves inter-worker traffic over loopback TCP sockets instead
 	// of in-memory queues (only meaningful with Workers > 1).
@@ -152,17 +155,25 @@ type Detector struct {
 // Detector from which communities can be extracted. The graph is copied;
 // apply subsequent changes through Update.
 //
-// With Config.Workers <= 1 the detector is in-process and propagation
-// splits each level's vertices across every core (GOMAXPROCS); see
-// DetectParallel to choose the core count. The result is bit-identical at
-// any core count.
+// Propagation runs in-process and splits each level's vertices across
+// every core (GOMAXPROCS); see DetectParallel to choose the core count.
+// With Config.Workers > 1 each BSP worker is then handed the rows of the
+// vertices it owns and maintains them. The result is bit-identical at any
+// core or worker count.
 func Detect(g *Graph, cfg Config) (*Detector, error) {
-	if cfg.Workers <= 1 {
-		return DetectParallel(g, cfg, 0)
-	}
 	cfg = cfg.withDefaults()
-	if err := core.CheckT(cfg.T); err != nil {
+	st, err := core.RunParallel(g, core.Config{T: cfg.T, Seed: cfg.Seed}, 0)
+	if err != nil {
 		return nil, err // before a distributed engine is started
+	}
+	return newDetector(st, cfg)
+}
+
+// newDetector wraps a propagated State: in-process with Workers <= 1, else
+// on the engine cfg selects, whose workers take over the State's rows.
+func newDetector(st *core.State, cfg Config) (*Detector, error) {
+	if cfg.Workers <= 1 {
+		return &Detector{cfg: cfg, seq: st}, nil
 	}
 	kind := cluster.Local
 	if cfg.TCP {
@@ -172,16 +183,7 @@ func Detect(g *Graph, cfg Config) (*Detector, error) {
 	if err != nil {
 		return nil, err
 	}
-	dst, err := dist.NewRSLPA(eng, g, core.Config{T: cfg.T, Seed: cfg.Seed})
-	if err != nil {
-		eng.Close()
-		return nil, err
-	}
-	if err := dst.Propagate(); err != nil {
-		eng.Close()
-		return nil, err
-	}
-	return &Detector{cfg: cfg, eng: eng, dst: dst}, nil
+	return &Detector{cfg: cfg, eng: eng, dst: dist.NewRSLPAFromState(eng, st)}, nil
 }
 
 // Update applies a batch of edge edits and incrementally repairs the
